@@ -54,6 +54,7 @@ from .linalg import (
     MonomialComplex,
     StrandComplex,
     Term,
+    compile_presence,
     degree,
     homology_dims,
     is_section,

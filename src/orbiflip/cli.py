@@ -80,6 +80,13 @@ def _parse_seq(text: str) -> WeightSequence:
     return WeightSequence.parse(text)
 
 
+def _parse_int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"{what} must be an integer, got {text!r}") from None
+
+
 def _emit(data: dict, as_json: bool, text_lines) -> None:
     if as_json:
         print(json.dumps(data, sort_keys=True, indent=2))
@@ -292,9 +299,9 @@ def cmd_cohomology(args) -> int:
         parts = args.twist.split(",")
         if len(parts) != 2:
             raise ParseError("Y twists are k1,k2 pairs")
-        twist = (int(parts[0]), int(parts[1]))
+        twist = (_parse_int(parts[0], "twist"), _parse_int(parts[1], "twist"))
     else:
-        twist = int(args.twist)
+        twist = _parse_int(args.twist, "twist")
     table = cohomology_table(
         seq, args.space, twist, args.box, threshold=args.threshold
     )

@@ -17,9 +17,12 @@ absorbed by the offsets.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple
+from functools import cached_property
+from operator import mul
+from typing import Callable, Iterator, NamedTuple
 
 from .errors import BoxTooLarge, InconsistentDegrees, Unsupported
 from .exact import complex_homology_dims
@@ -170,30 +173,42 @@ def characters_of_degree(
         total *= max(highs[c] - lows[c] + 1, 0)
         if total > limit:
             raise BoxTooLarge(f"character box of size > {limit}")
+    if total == 0:
+        return
 
-    def rec(idx: int, partial: int, chosen: list[int]):
-        if idx == len(free):
-            rem = value - partial
-            w = weights[solve_at]
-            if rem % w:
-                return
-            v = rem // w
-            if v < lows[solve_at] or v > highs[solve_at]:
-                return
-            full = [0] * size
-            for c, e in zip(free, chosen):
-                full[c] = e
+    m = seq.m
+    w_solve, lo_solve, hi_solve = weights[solve_at], lows[solve_at], highs[solve_at]
+    full = list(lows)
+    if not free:
+        if value % w_solve == 0 and lo_solve <= value // w_solve <= hi_solve:
+            full[solve_at] = value // w_solve
+            yield Character(tuple(full[:m]), tuple(full[m:]))
+        return
+
+    # Odometer over the outer free coordinates (the first one slowest); the
+    # last free coordinate is looped inline and the solved one computed.
+    outer, last = free[:-1], free[-1]
+    w_last = weights[last]
+    inner = range(lows[last], highs[last] + 1)
+    while True:
+        rem0 = value - sum(weights[c] * full[c] for c in outer)
+        for e in inner:
+            rem = rem0 - w_last * e
+            if rem % w_solve:
+                continue
+            v = rem // w_solve
+            if v < lo_solve or v > hi_solve:
+                continue
+            full[last] = e
             full[solve_at] = v
-            yield Character(tuple(full[: seq.m]), tuple(full[seq.m :]))
+            yield Character(tuple(full[:m]), tuple(full[m:]))
+        for c in reversed(outer):
+            if full[c] < highs[c]:
+                full[c] += 1
+                break
+            full[c] = lows[c]
+        else:
             return
-        c = free[idx]
-        w = weights[c]
-        for e in range(lows[c], highs[c] + 1):
-            chosen.append(e)
-            yield from rec(idx + 1, partial + w * e, chosen)
-            chosen.pop()
-
-    yield from rec(0, 0, [])
 
 
 def section_basis(seq: WeightSequence, space: str, twist, box: int) -> list[Character]:
@@ -301,6 +316,11 @@ class MonomialComplex:
             for key, total in acc.items():
                 if total != 0:
                     raise InconsistentDegrees(f"d o d != 0 at {d}, entry {key}")
+
+    @cached_property
+    def presence(self) -> Callable[[Character], tuple[tuple[int, ...], ...]]:
+        """The compiled strand membership test (see compile_presence)."""
+        return compile_presence(self)
 
     def degrees(self) -> list[int]:
         return sorted(self.terms)
@@ -446,27 +466,91 @@ class StrandComplex:
         }
 
 
+def compile_presence(cx: MonomialComplex) -> Callable[[Character], tuple[tuple[int, ...], ...]]:
+    """Compile the strand membership rule of a complex, once.
+
+    The returned function maps a character to the `bases` of its strand: per
+    degree from min to max of the complex, the indices of the terms whose
+    candidate monomial character - offset is a section of the term's twist.
+    All terms share the reference degree, so on minus/plus a term is present
+    iff deg(character) is the reference degree and character >= offset
+    componentwise; on Y the degree test is da - db == reference degree and
+    each term adds the threshold da(character) >= k1 + da(offset); on module
+    the only condition is character >= offset.
+
+    Each coordinate cuts the line at the distinct offset values met there;
+    the interval a character falls in selects, by table lookup, the bitmask
+    of terms it satisfies on that coordinate.  The pattern is the AND of the
+    masks, decoded into index tuples once per distinct mask.
+    """
+    if not cx.terms:
+        return lambda character: ()
+    seq, space = cx.seq, cx.space
+    lo, hi = min(cx.terms), max(cx.terms)
+    slots = [(d, i, t) for d in range(lo, hi + 1) for i, t in enumerate(cx.terms.get(d, ()))]
+    flats = [t.offset.alpha + t.offset.beta for _, _, t in slots]
+    if space == SPACE_Y:
+        # da(character) is one more coordinate, cut at k1 + da(offset).
+        flats = [
+            off + (t.twist[0] + degree(seq, SPACE_Y, t.offset)[0],)
+            for off, (_, _, t) in zip(flats, slots)
+        ]
+
+    def coordinate(c):
+        cuts = sorted({off[c] for off in flats})
+        # masks[j]: terms whose offset is among the j smallest cuts.
+        masks = [0] * (len(cuts) + 1)
+        for bit, off in enumerate(flats):
+            masks[bisect_right(cuts, off[c])] |= 1 << bit
+        for j in range(1, len(masks)):
+            masks[j] |= masks[j - 1]
+        return cuts, masks
+
+    coords = [coordinate(c) for c in range(len(flats[0]))]
+    groups = [[(1 << bit, i) for bit, (d_, i, _) in enumerate(slots) if d_ == d]
+              for d in range(lo, hi + 1)]
+    decoded: dict[int, tuple[tuple[int, ...], ...]] = {}
+    absent = decoded[0] = tuple(() for _ in groups)
+    ref = cx.reference_degree
+    on_y = space == SPACE_Y
+    # Degree weights: deg on minus/plus, da - db on Y, no equation on module.
+    weights = None
+    if space != SPACE_MODULE:
+        sign = -1 if space == SPACE_PLUS else 1
+        weights = tuple(sign * w for w in seq.a) + tuple(-sign * w for w in seq.b)
+
+    def presence(character):
+        flat = character.alpha + character.beta
+        if weights is not None and sum(map(mul, weights, flat)) != ref:
+            return absent
+        if on_y:
+            flat += (sum(map(mul, seq.a, character.alpha)),)
+        mask = -1
+        for (cuts, masks), e in zip(coords, flat):
+            mask &= masks[bisect_right(cuts, e)]
+        bases = decoded.get(mask)
+        if bases is None:
+            bases = decoded[mask] = tuple(
+                tuple(i for bit, i in group if mask & bit) for group in groups
+            )
+        return bases
+
+    return presence
+
+
 def strand(cx: MonomialComplex, character: Character) -> StrandComplex:
     """Restrict a monomial complex to one torus character.
 
     In each term the candidate monomial is character - offset; it survives if
-    it is a section of the term's twist.  Entries act by coefficient; a
-    present source mapping to an absent target would violate monotonicity of
-    section membership and raises InconsistentDegrees.
+    it is a section of the term's twist, as decided by the complex's compiled
+    presence test.  Entries act by coefficient; a present source mapping to
+    an absent target would violate monotonicity of section membership and
+    raises InconsistentDegrees.
     """
-    seq, space = cx.seq, cx.space
     if not cx.terms:
         return StrandComplex(character, (), (), ())
-    lo = min(cx.terms)
-    hi = max(cx.terms)
-    degrees = tuple(range(lo, hi + 1))
-    bases = []
-    for d in degrees:
-        present = []
-        for i, t in enumerate(cx.terms.get(d, ())):
-            if is_section(seq, space, t.twist, character - t.offset):
-                present.append(i)
-        bases.append(tuple(present))
+    degrees = tuple(range(min(cx.terms), max(cx.terms) + 1))
+    bases = cx.presence(character)
     mats = []
     for k, d in enumerate(degrees[:-1]):
         src = bases[k]

@@ -104,6 +104,15 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--seq", "1,1;1,1", "--suite", "example51")
         assert code == 2
 
+    def test_negative_k_range_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "--seq", "1,1;1,1", "--suite", "roundtrip",
+            "--k-min", "-2", "--k-max", "-1",
+        )
+        assert code == 2
+        assert "k >= 0" in err
+        assert "round trips" not in out
+
     def test_serre_suite_json(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--seq", "1,2;1,1,1", "--suite", "serre", "--json"
@@ -137,3 +146,12 @@ class TestCohomology:
         code, _, _ = run(capsys, "cohomology", "--seq", "1,1;", "--space", "Y",
                          "--twist", "3")
         assert code == 2
+
+    def test_non_integer_twist(self, capsys):
+        for argv in (
+            ("--seq", "1,1;", "--twist", "x"),
+            ("--seq", "1,2;1,1,1", "--space", "Y", "--twist", "1,x"),
+        ):
+            code, _, err = run(capsys, "cohomology", *argv)
+            assert code == 2, argv
+            assert err.startswith("error: ") and "Traceback" not in err

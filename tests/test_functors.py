@@ -102,6 +102,24 @@ class TestRoundtrips:
         top = FLOP.sum_b - 1
         assert all(0 <= p <= top for p in rep.details["ebar_powers"])
 
+    def test_one_strand_per_presence_pattern(self, monkeypatch):
+        # Every character is checked, but a strand is built (and its homology
+        # computed) only the first time its presence pattern appears.
+        import orbiflip.functors as functors
+
+        built = []
+        original = functors.strand
+
+        def counting(cx, ch):
+            built.append(cx.presence(ch))
+            return original(cx, ch)
+
+        monkeypatch.setattr(functors, "strand", counting)
+        rep = roundtrip_check(FLOP, 3, "GF")
+        assert rep.verdict
+        assert len(built) == len(set(built))
+        assert 0 < len(built) < rep.details["strands_checked"]
+
     def test_report_serializes(self):
         rep = roundtrip_check(ATIYAH, 1, "HF")
         data = rep.to_json_dict()
@@ -122,6 +140,13 @@ class TestEquivalenceSuite:
         pairs = [c.inputs["pair"] for c in rep.children]
         assert pairs.count("GF") == 3
         assert pairs.count("G'F'") == 2  # k >= sum(b) - sum(a) = 1
+
+    def test_range_without_nonnegative_k_raises(self):
+        # Zero round trips would pass vacuously.
+        with pytest.raises(Unsupported):
+            equivalence_suite(ATIYAH, range(-3, 0))
+        with pytest.raises(Unsupported):
+            equivalence_suite(seq("1,1;2,1"), [-1])
 
     def test_threaded_matches_serial(self):
         serial = equivalence_suite(ATIYAH, range(0, 2))

@@ -27,7 +27,7 @@ from orbiflip.exact import (
     exact_rank,
     kernel_basis,
 )
-from orbiflip.linalg import strand_table_json, zero_character
+from orbiflip.linalg import characters_of_degree, strand_table_json, zero_character
 
 
 def seq(text: str) -> WeightSequence:
@@ -244,3 +244,157 @@ class TestComplexValidation:
 
         with pytest.raises(InconsistentDegrees):
             MonomialComplex(s, "module", terms, diffs)
+
+
+# ---------------------------------------------------------------------------
+# Differential checks of the fast paths against their slow definitions.
+
+
+def _per_term_bases(cx, ch):
+    """The strand pattern by the definition: term by term, is ch - offset a
+    section of the term's twist?"""
+    if not cx.terms:
+        return ()
+    return tuple(
+        tuple(
+            i
+            for i, t in enumerate(cx.terms.get(d, ()))
+            if is_section(cx.seq, cx.space, t.twist, ch - t.offset)
+        )
+        for d in range(min(cx.terms), max(cx.terms) + 1)
+    )
+
+
+def _presence_box(cx, box):
+    """Every character of the degree-blind box [-1, 1]^(m+n) ([-1, box] on
+    module, which has no degree equation), plus every character of the
+    complex's reference degree with exponents in [-1, box]."""
+    import itertools
+
+    s = cx.seq
+    top = box if cx.space == "module" else 1
+    for flat in itertools.product(range(-1, top + 1), repeat=s.m + s.n):
+        yield Character(flat[: s.m], flat[s.m :])
+    if cx.space != "module":
+        yield from characters_of_degree(s, cx.space, cx.reference_degree, low=-1, high=box)
+
+
+def _presence_complexes(s, k):
+    """Complexes on all four spaces: resolutions, round-trip outputs,
+    tensor/translate/dual_into images and Y pullbacks."""
+    from orbiflip import apply, as_complex
+    from orbiflip.functors import pull_complex
+
+    out = [
+        build_resolution(s, k, "minus"),
+        build_resolution(s, k, "plus", extra_twist=-k),
+        build_resolution(s, k, "module"),
+    ]
+    for first, second in (("F", "G"), ("F", "H")):
+        mid = as_complex(s, apply(s, first, k))
+        out.append(as_complex(s, apply(s, second, mid)))
+    roundtrip = out[-1]
+    shift = Character((1,) + (0,) * (s.m - 1), (0,) * (s.n - 1) + (1,))
+    out += [
+        roundtrip.tensor(2),
+        roundtrip.translate(shift, 1),
+        roundtrip.dual_into(k),
+    ]
+    pulled = pull_complex(s, out[1])
+    out += [pulled, pulled.tensor((-1, -1)), pull_complex(s, out[0]).dual_into((0, 1))]
+    return out
+
+
+_small_weights = st.lists(st.integers(1, 3), min_size=2, max_size=3)
+
+
+class TestCompiledPresence:
+    @settings(max_examples=15, deadline=None)
+    @given(_small_weights, _small_weights, st.integers(0, 3))
+    def test_matches_per_term_rule(self, a, b, k):
+        from hypothesis import assume
+
+        from orbiflip import compile_presence, is_well_formed
+
+        s = WeightSequence(tuple(a), tuple(b))
+        assume(is_well_formed(s) and s.sum_a <= s.sum_b)
+        complexes = _presence_complexes(s, k)
+        assert {cx.space for cx in complexes} == {"minus", "plus", "Y", "module"}
+        for cx in complexes:
+            presence = compile_presence(cx)
+            for ch in _presence_box(cx, k + 1):
+                assert presence(ch) == _per_term_bases(cx, ch), (cx.summary(), ch)
+
+    def test_strand_bases_come_from_the_compiled_test(self):
+        cx = build_resolution(seq("1,2;1,1,1"), 3, "plus")
+        for ch in characters_of_degree(cx.seq, "plus", cx.reference_degree, low=0, high=4):
+            assert strand(cx, ch).bases == cx.presence(ch) == _per_term_bases(cx, ch)
+
+    def test_empty_complex(self):
+        from orbiflip import compile_presence
+
+        cx = MonomialComplex(seq("1,1;"), "module", {}, {})
+        assert compile_presence(cx)(Character((1, 0), ())) == ()
+
+
+def _brute_characters(s, space, value, lows, highs):
+    """itertools.product over the box in the enumerator's order (the solved
+    coordinate, the last one of largest weight, varies fastest), filtered by
+    the degree equation."""
+    import itertools
+
+    weights = list(s.a) + [-w for w in s.b]
+    if space == "plus":
+        value = -value
+    size = len(weights)
+    solve_at = max(range(size), key=lambda c: (abs(weights[c]), c))
+    order = [c for c in range(size) if c != solve_at] + [solve_at]
+    out = []
+    for picked in itertools.product(*(range(lows[c], highs[c] + 1) for c in order)):
+        full = [0] * size
+        for c, e in zip(order, picked):
+            full[c] = e
+        if sum(w * e for w, e in zip(weights, full)) == value:
+            out.append(Character(tuple(full[: s.m]), tuple(full[s.m :])))
+    return out
+
+
+class TestCharacterEnumeration:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(1, 4), min_size=0, max_size=3),
+        st.lists(st.integers(1, 4), min_size=0, max_size=2),
+        st.sampled_from(["minus", "plus", "Y", "module"]),
+        st.integers(-6, 6),
+        st.data(),
+    )
+    def test_matches_brute_force(self, a, b, space, value, data):
+        from hypothesis import assume
+
+        assume(a or b)
+        s = WeightSequence(tuple(a), tuple(b))
+        size = s.m + s.n
+        lows = data.draw(st.lists(st.integers(-3, 2), min_size=size, max_size=size))
+        spans = data.draw(st.lists(st.integers(-1, 4), min_size=size, max_size=size))
+        highs = [lo + span for lo, span in zip(lows, spans)]
+        bounds = lambda v: (tuple(v[: s.m]), tuple(v[s.m :]))
+        got = list(characters_of_degree(s, space, value, low=bounds(lows), high=bounds(highs)))
+        assert got == _brute_characters(s, space, value, lows, highs)
+
+    def test_int_bounds_single_coordinate(self):
+        s = seq("3;")
+        assert list(characters_of_degree(s, "minus", 6, low=-2, high=4)) == [
+            Character((2,), ())
+        ]
+        assert list(characters_of_degree(s, "minus", 5, low=-2, high=4)) == []
+
+    def test_empty_box(self):
+        s = seq("1,2;1")
+        assert list(characters_of_degree(s, "minus", 0, low=1, high=0)) == []
+
+    def test_box_limit_checked(self):
+        from orbiflip import BoxTooLarge
+
+        s = seq("1,1,1;1")
+        with pytest.raises(BoxTooLarge):
+            next(characters_of_degree(s, "minus", 0, low=0, high=9, limit=100))
