@@ -56,7 +56,6 @@ from .linalg import (
     Term,
     compile_presence,
     degree,
-    homology_dims,
     is_section,
     section_basis,
     single_twist_complex,
@@ -80,7 +79,6 @@ from .sheaves import (
     PushforwardResult,
     ShiftedTwist,
     TwistClass,
-    cech_cohomology,
     class_of_divisor,
     cohomology_table,
     dualizing_class,

@@ -17,6 +17,7 @@ from .charts import atlas_report
 from .errors import OrbiflipError, ParseError, PreconditionKLevel, Unsupported
 from .functors import (
     IdealImage,
+    VerificationReport,
     apply as apply_functor,
     adjunction_check,
     equivalence_suite,
@@ -49,7 +50,6 @@ class RunConfig:
     command: str
     box: int = 8
     k_range: tuple[int, ...] = (0,)
-    threads: int = 1
     output_format: str = "text"  # "text" | "json"
 
     def __post_init__(self):
@@ -57,8 +57,6 @@ class RunConfig:
             raise ParseError("box limit must be >= 1")
         if not self.k_range:
             raise ParseError("k-range must be nonempty")
-        if self.threads < 1:
-            raise ParseError("thread count must be >= 1")
         if self.output_format not in ("text", "json"):
             raise ParseError(f"unknown output format {self.output_format!r}")
 
@@ -71,7 +69,6 @@ def _run_config(args) -> RunConfig:
         command=args.command,
         box=getattr(args, "box", 8),
         k_range=tuple(range(k_min, k_max + 1)),
-        threads=getattr(args, "threads", 1),
         output_format="json" if args.json else "text",
     )
 
@@ -194,15 +191,6 @@ def cmd_transform(args) -> int:
     return EXIT_OK
 
 
-def _parallel_collect(jobs, threads: int):
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda f: f(), jobs))
-    return [job() for job in jobs]
-
-
 def cmd_verify(args) -> int:
     config = _run_config(args)
     seq = _parse_seq(config.sequence)
@@ -215,7 +203,7 @@ def cmd_verify(args) -> int:
     )
     example_seq = WeightSequence((1, 2), (1, 1, 1))
     skipped = []
-    jobs = []
+    reports = []
 
     def require(suite, condition, reason) -> bool:
         """With --suite all, inapplicable suites are skipped; an explicitly
@@ -233,21 +221,17 @@ def cmd_verify(args) -> int:
                 suite, seq.sum_a <= seq.sum_b, "sum(a) > sum(b); swap sides"
             ):
                 # round trips derive their own degree-scale boxes
-                jobs.append(lambda: equivalence_suite(seq, ks, threads=config.threads))
+                reports.append(equivalence_suite(seq, ks))
         elif suite == "adjunction":
             if require(suite, seq.m >= 2 and seq.n >= 2, "adjunctions need m, n >= 2") and require(
                 suite, seq.sum_a <= seq.sum_b, "sum(a) > sum(b); swap sides"
             ):
-
-                def adjunctions():
-                    pairs = [(0, 0), (1, 0), (0, 1), (1, 1)]
-                    children = [
-                        adjunction_check(seq, u, v, box=min(config.box, 4))
-                        for u, v in pairs
-                    ]
-                    from .functors import VerificationReport
-
-                    return VerificationReport(
+                pairs = [(0, 0), (1, 0), (0, 1), (1, 1)]
+                children = [
+                    adjunction_check(seq, u, v, box=min(config.box, 4)) for u, v in pairs
+                ]
+                reports.append(
+                    VerificationReport(
                         title="adjunction sweep",
                         inputs={"seq": str(seq), "pairs": pairs},
                         output=f"{len(children)} twist pairs",
@@ -255,24 +239,21 @@ def cmd_verify(args) -> int:
                         verdict=all(c.verdict for c in children),
                         children=children,
                     )
-
-                jobs.append(adjunctions)
+                )
         elif suite == "serre":
-            spaces = [w for w in (seq.a, seq.b) if w]
-            jobs.append(lambda spaces=spaces: serre_duality_suite(spaces))
+            reports.append(serre_duality_suite([w for w in (seq.a, seq.b) if w]))
         elif suite == "pushforward":
             if require(suite, seq.m >= 2 and seq.n >= 2, "pushforward suites need m, n >= 2"):
-                jobs.append(
-                    lambda: pushforward_oracle_suite(
+                reports.append(
+                    pushforward_oracle_suite(
                         seq, s_box=min(config.box, 4), char_box=min(config.box, 6)
                     )
                 )
         elif suite == "example51":
             if require(suite, seq == example_seq, "the cotangent example is stated for 1,2;1,1,1"):
-                jobs.append(lambda: example51_verify(seq))
+                reports.append(example51_verify(seq))
         else:
             _unsupported(suite, "unknown suite")
-    reports = _parallel_collect(jobs, 1)  # suites run serially; sweeps thread inside
     verdict = all(r.verdict for r in reports)
     data = {
         "schema": SCHEMA,
@@ -295,6 +276,10 @@ def cmd_verify(args) -> int:
 
 def cmd_cohomology(args) -> int:
     seq = _parse_seq(args.seq)
+    if args.box < 0:
+        raise ParseError("box must be >= 0")
+    if args.rows < 0:
+        raise ParseError("rows must be >= 0")
     if args.space == SPACE_Y:
         parts = args.twist.split(",")
         if len(parts) != 2:
@@ -388,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-min", type=int, default=0)
     p.add_argument("--k-max", type=int, default=6)
     p.add_argument("--box", type=int, default=8, help="character box bound")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("cohomology", help="per-character Cech cohomology table")

@@ -1,12 +1,13 @@
 """Exact linear algebra over the rationals.
 
-Everything downstream (strand homology, Cech cohomology, syzygy solving)
-reduces to ranks, kernels and span membership of small matrices with integer
-or rational entries.  Ranks use fraction-free (Bareiss) elimination on integer
-rows; kernels and spans use rational row reduction; large sparse complexes are
-collapsed by Gaussian chain reduction, which over a field eliminates the
+Everything downstream (strand, Koszul and Cech homology, syzygy solving)
+reduces to homology, kernels and span membership of small matrices with
+integer or rational entries.  Homology of every complex goes through one
+engine, Gaussian chain reduction, which over a field eliminates the
 differential entirely and leaves homology dimensions as the surviving cell
-counts.  No floating point anywhere.
+counts.  Kernels and spans use rational row reduction; fraction-free
+(Bareiss) rank elimination stays as the reference the tests compare against.
+No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -155,26 +156,6 @@ class RationalSpan:
     @property
     def dim(self) -> int:
         return len(self.rows)
-
-
-def complex_homology_dims(dims: list[int], mats: list) -> list[int]:
-    """Homology dimensions of 0 -> V_0 -> V_1 -> ... -> V_L -> 0.
-
-    mats[i] maps V_i to V_{i+1} and is given as a list of rows (row index =
-    target coordinate).  H^i = dim V_i - rank d_i - rank d_{i-1}.
-    """
-    ranks = []
-    for i, mat in enumerate(mats):
-        if dims[i] == 0 or dims[i + 1] == 0:
-            ranks.append(0)
-        else:
-            ranks.append(exact_rank(mat, dims[i]))
-    out = []
-    for i, d in enumerate(dims):
-        r_out = ranks[i] if i < len(ranks) else 0
-        r_in = ranks[i - 1] if i > 0 else 0
-        out.append(d - r_out - r_in)
-    return out
 
 
 def chain_reduce_homology(cell_degree: dict, entries: dict) -> dict[int, int]:

@@ -16,7 +16,6 @@ absorbed by the offsets.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,7 +24,7 @@ from operator import mul
 from typing import Callable, Iterator, NamedTuple
 
 from .errors import BoxTooLarge, InconsistentDegrees, Unsupported
-from .exact import complex_homology_dims
+from .exact import chain_reduce_homology
 from .weights import WeightSequence
 
 SPACE_MINUS = "minus"
@@ -451,19 +450,22 @@ class StrandComplex:
         return sum((-1) ** d * len(b) for d, b in zip(self.degrees, self.bases))
 
     def homology(self) -> dict[int, int]:
-        """Nonzero homology dimensions by cohomological degree."""
-        dims = self.dims()
-        mats = [list(map(list, m)) for m in self.mats]
-        hom = complex_homology_dims(dims, mats)
-        return {d: h for d, h in zip(self.degrees, hom) if h}
+        """Nonzero homology dimensions by cohomological degree.
 
-    def to_json_dict(self) -> dict:
-        return {
-            "character": [list(self.character.alpha), list(self.character.beta)],
-            "degrees": list(self.degrees),
-            "dims": self.dims(),
-            "homology": {str(d): h for d, h in sorted(self.homology().items())},
+        Each basis element is a cell and each nonzero matrix entry an edge of
+        the complex handed to chain reduction.
+        """
+        cells = {
+            (d, i): d for d, base in zip(self.degrees, self.bases) for i in range(len(base))
         }
+        entries = {
+            ((d, c), (d + 1, r)): v
+            for d, mat in zip(self.degrees, self.mats)
+            for r, row in enumerate(mat)
+            for c, v in enumerate(row)
+            if v
+        }
+        return chain_reduce_homology(cells, entries)
 
 
 def compile_presence(cx: MonomialComplex) -> Callable[[Character], tuple[tuple[int, ...], ...]]:
@@ -571,13 +573,6 @@ def strand(cx: MonomialComplex, character: Character) -> StrandComplex:
     return StrandComplex(character, degrees, tuple(bases), tuple(mats))
 
 
-def homology_dims(strand_complex: StrandComplex) -> list[int]:
-    """Exact homology ranks over Q across the strand's full degree span."""
-    dims = strand_complex.dims()
-    mats = [list(map(list, m)) for m in strand_complex.mats]
-    return complex_homology_dims(dims, mats)
-
-
 def strand_by_degree(cx: MonomialComplex, value: int) -> StrandComplex:
     """Direct sum of the strands at every character of the given total degree.
 
@@ -616,9 +611,3 @@ def strand_by_degree(cx: MonomialComplex, value: int) -> StrandComplex:
             c0 += len(s.bases[k])
         mats.append(tuple(tuple(r) for r in rows))
     return StrandComplex(zero_character(seq), degrees, tuple(map(tuple, bases)), tuple(mats))
-
-
-def strand_table_json(cx: MonomialComplex, characters) -> str:
-    """Debug dump: strand dimensions and homology per character."""
-    rows = [strand(cx, ch).to_json_dict() for ch in characters]
-    return json.dumps({"schema": "orbiflip/1", "strands": rows}, sort_keys=True)

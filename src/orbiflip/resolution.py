@@ -292,37 +292,40 @@ def build_resolution(
     k = max(k, 0)
     _check_threshold(k, cap)
     positions, raw_diffs = _certified_module_resolution(weights, k)
+    return _assemble(seq, side, positions, raw_diffs, extra_twist)
 
-    def assemble(target_seq, space, embed, twist_of):
-        terms = {
-            1 - (l + 1): [Term(twist_of(mu), embed(mu)) for mu in gens]
-            for l, gens in enumerate(positions)
-        }
-        diffs: dict[int, dict[tuple[int, int], Monomial]] = {}
-        for l, table in enumerate(raw_diffs, start=2):
-            # F_l (degree 1 - l) -> F_{l-1} (degree 2 - l)
-            tab = {}
-            for (i, j), coeff in table.items():
-                gamma = embed(positions[l - 1][i]) - embed(positions[l - 2][j])
-                tab[(i, j)] = Monomial(coeff, gamma)
-            diffs[1 - l] = tab
-        return MonomialComplex(target_seq, space, terms, diffs)
 
-    if side == SPACE_MODULE:
-        mod_seq = _module_sequence(weights)
-        return assemble(
-            mod_seq,
-            SPACE_MODULE,
-            lambda mu: Character(tuple(mu), ()),
-            lambda mu: -weighted_degree(weights, mu),
-        )
-    if side == SPACE_MINUS:
+def _assemble(seq, space, positions, raw_diffs, extra_twist=0) -> MonomialComplex:
+    """The complex of twists of module resolution data on a space.
+
+    Position l sits in cohomological degree 1 - l.  A generator mu becomes
+    the term with offset mu in the y-variables on the minus side, in the
+    x-variables otherwise, and twist w.mu + extra_twist on a side; on module,
+    where twists only index generators, the twist is -w.mu.
+    """
+    if space == SPACE_MINUS:
+        weights = seq.b
         embed = lambda mu: Character((0,) * seq.m, tuple(mu))
     else:
+        weights = seq.a
         embed = lambda mu: Character(tuple(mu), (0,) * seq.n)
-    return assemble(
-        seq, side, embed, lambda mu: weighted_degree(weights, mu) + extra_twist
-    )
+    if space == SPACE_MODULE:
+        twist_of = lambda mu: -weighted_degree(weights, mu)
+    else:
+        twist_of = lambda mu: weighted_degree(weights, mu) + extra_twist
+    terms = {
+        1 - (l + 1): [Term(twist_of(mu), embed(mu)) for mu in gens]
+        for l, gens in enumerate(positions)
+    }
+    diffs: dict[int, dict[tuple[int, int], Monomial]] = {}
+    for l, table in enumerate(raw_diffs, start=2):
+        # F_l (degree 1 - l) -> F_{l-1} (degree 2 - l)
+        tab = {}
+        for (i, j), coeff in table.items():
+            gamma = embed(positions[l - 1][i]) - embed(positions[l - 2][j])
+            tab[(i, j)] = Monomial(coeff, gamma)
+        diffs[1 - l] = tab
+    return MonomialComplex(seq, space, terms, diffs)
 
 
 @lru_cache(maxsize=None)
@@ -345,24 +348,7 @@ def _certified_module_resolution(weights: tuple[int, ...], k: int):
 
 def _verify_strand_exactness(weights, k, positions, raw_diffs, cushion: int = 2):
     """Module strands must be exact except at position one, where they give I_k."""
-    mod_seq = _module_sequence(weights)
-    terms = {
-        1 - (l + 1): [
-            Term(-weighted_degree(weights, mu), Character(tuple(mu), ()))
-            for mu in gens
-        ]
-        for l, gens in enumerate(positions)
-    }
-    diffs: dict[int, dict[tuple[int, int], Monomial]] = {}
-    for l, table in enumerate(raw_diffs, start=2):
-        tab = {}
-        for (i, j), coeff in table.items():
-            gamma = Character(tuple(positions[l - 1][i]), ()) - Character(
-                tuple(positions[l - 2][j]), ()
-            )
-            tab[(i, j)] = Monomial(coeff, gamma)
-        diffs[1 - l] = tab
-    cx = MonomialComplex(mod_seq, SPACE_MODULE, terms, diffs)
+    cx = _assemble(_module_sequence(weights), SPACE_MODULE, positions, raw_diffs)
     top = k + sum(weights) + cushion
     for d in range(top + 1):
         for mu in monomials_of_weighted_degree(tuple(weights), d):

@@ -84,25 +84,6 @@ class ShiftedTwist:
 
 
 @dataclass(frozen=True)
-class SkyscraperPattern:
-    """A point sheaf on one chart with an isotropy character, placed in a
-    cohomological degree: the expected shape of certain transform images."""
-
-    chart_space: str
-    chart_index: tuple[int, ...]
-    character: tuple[int, ...]
-    degree: int
-
-    def render(self) -> str:
-        idx = ",".join(map(str, self.chart_index))
-        chi = ",".join(map(str, self.character))
-        return (
-            f"skyscraper on {self.chart_space}[{idx}] with character ({chi}) "
-            f"in degree {self.degree}"
-        )
-
-
-@dataclass(frozen=True)
 class DivisorId:
     """A prime divisor name: A(i), B(j), Ebar, or the exceptional locus E."""
 
@@ -310,14 +291,25 @@ def serre_twist(seq: WeightSequence, space: str, obj):
 # The Cech oracle.
 
 
-def _charts(seq: WeightSequence, space: str):
-    if space == SPACE_MINUS:
-        return list(range(seq.m))
-    if space == SPACE_PLUS:
-        return list(range(seq.n))
-    if space == SPACE_Y:
-        return [(i, j) for i in range(seq.m) for j in range(seq.n)]
-    raise WrongSide(f"no chart cover on {space!r}")
+CHART_LIMIT = 12
+
+
+def _cech_complex(subsets, tag=(), shift=0):
+    """The alternating Cech complex of an upward-closed family of chart subsets.
+
+    Each subset is a cell tag + (subset,) in degree shift + |subset| - 1;
+    dropping the chart at position pos from a subset gives a face, joined to
+    it with sign (-1)^pos when the face is in the family.  Returns the
+    (cells, entries) pair chain_reduce_homology takes.
+    """
+    cells = {tag + (sub,): shift + len(sub) - 1 for sub in subsets}
+    entries = {}
+    for sub in subsets:
+        for pos in range(len(sub)):
+            face = tag + (sub[:pos] + sub[pos + 1 :],)
+            if face in cells:
+                entries[(face, tag + (sub,))] = -1 if pos % 2 else 1
+    return cells, entries
 
 
 @lru_cache(maxsize=None)
@@ -327,23 +319,10 @@ def _side_pattern_dims(m: int, neg: frozenset) -> dict[int, int]:
     The character is allowed on a chart intersection iff the inverted charts
     cover its negative coordinates; dims are computed honestly from the
     alternating Cech complex by exact reduction and memoized per pattern.
+    A side cover is the minus cover of its m charts.
     """
-    cells = {}
-    for size in range(1, m + 1):
-        for sub in itertools.combinations(range(m), size):
-            if neg <= set(sub):
-                cells[sub] = size - 1
-    if not cells:
-        return {}
-    entries = {}
-    for sub in cells:
-        if len(sub) == 1:
-            continue
-        for pos, c in enumerate(sub):
-            smaller = sub[:pos] + sub[pos + 1 :]
-            if smaller in cells:
-                entries[(smaller, sub)] = (-1) ** pos
-    return {d: h for d, h in chain_reduce_homology(cells, entries).items() if h}
+    subsets = _pattern_subsets(SPACE_MINUS, m, 0, neg)
+    return chain_reduce_homology(*_cech_complex(subsets))
 
 
 @lru_cache(maxsize=None)
@@ -353,23 +332,8 @@ def _y_pattern_dims(m: int, n: int, neg_x: frozenset, neg_y: frozenset) -> dict[
     A chart (i, j) inverts x_i and y_j; an intersection is allowed iff its
     first projections cover neg_x and second projections cover neg_y.
     """
-    charts = [(i, j) for i in range(m) for j in range(n)]
-    cells = {}
-    for size in range(1, len(charts) + 1):
-        for sub in itertools.combinations(charts, size):
-            if neg_x <= {i for i, _ in sub} and neg_y <= {j for _, j in sub}:
-                cells[sub] = size - 1
-    if not cells:
-        return {}
-    entries = {}
-    for sub in cells:
-        if len(sub) == 1:
-            continue
-        for pos, c in enumerate(sub):
-            smaller = sub[:pos] + sub[pos + 1 :]
-            if smaller in cells:
-                entries[(smaller, sub)] = (-1) ** pos
-    return {d: h for d, h in chain_reduce_homology(cells, entries).items() if h}
+    subsets = _pattern_subsets(SPACE_Y, m, n, (neg_x, neg_y))
+    return chain_reduce_homology(*_cech_complex(subsets))
 
 
 def _char_weighted(seq: WeightSequence, char: Character) -> tuple[int, int]:
@@ -449,17 +413,6 @@ def cohomology_table(
     return out
 
 
-def cech_cohomology(
-    seq: WeightSequence,
-    space: str,
-    twist,
-    character_box: int,
-    threshold: int | None = None,
-) -> dict[Character, dict[int, int]]:
-    """Spec-facing alias of cohomology_table (raises BoxTooLarge past limits)."""
-    return cohomology_table(seq, space, twist, character_box, threshold)
-
-
 def total_cohomology(table: dict[Character, dict[int, int]]) -> dict[int, int]:
     totals: dict[int, int] = {}
     for dims in table.values():
@@ -526,25 +479,31 @@ def _term_pattern(seq, space, twist, char, threshold=None):
 
 @lru_cache(maxsize=None)
 def _pattern_subsets(space: str, m: int, n: int, pattern) -> tuple:
-    """All chart subsets allowed for a sign pattern (upward-closed family)."""
+    """All chart subsets allowed for a sign pattern (upward-closed family).
+
+    A cover of more than CHART_LIMIT charts (2^CHART_LIMIT subsets) is
+    refused with Unsupported before any subset is enumerated.
+    """
     if pattern is None:
         return ()
     if space == SPACE_Y:
         neg_x, neg_y = pattern
         charts = [(i, j) for i in range(m) for j in range(n)]
-        out = []
-        for size in range(1, len(charts) + 1):
-            for sub in itertools.combinations(charts, size):
-                if neg_x <= {i for i, _ in sub} and neg_y <= {j for _, j in sub}:
-                    out.append(sub)
-        return tuple(out)
-    count = m if space == SPACE_MINUS else n
-    out = []
-    for size in range(1, count + 1):
-        for sub in itertools.combinations(range(count), size):
-            if pattern <= set(sub):
-                out.append(sub)
-    return tuple(out)
+        allowed = lambda sub: neg_x <= {i for i, _ in sub} and neg_y <= {j for _, j in sub}
+    else:
+        charts = list(range(m if space == SPACE_MINUS else n))
+        allowed = lambda sub: pattern <= set(sub)
+    if len(charts) > CHART_LIMIT:
+        raise Unsupported(
+            f"a Cech cover of {len(charts)} charts has more than 2^{CHART_LIMIT} "
+            "chart subsets"
+        )
+    return tuple(
+        sub
+        for size in range(1, len(charts) + 1)
+        for sub in itertools.combinations(charts, size)
+        if allowed(sub)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -609,21 +568,12 @@ def hypercohomology_strand(cx: MonomialComplex, char: Character) -> dict[int, in
         (d, i): _pattern_subsets(space, m, n, p) for (d, i), p in patterns
     }
     cells: dict[tuple, int] = {}
-    for (d, i), subs in subsets.items():
-        for sub in subs:
-            cells[(d, i, sub)] = d + len(sub) - 1
-
     entries: dict[tuple, Fraction] = {}
     # Cech coboundaries within each term.
     for (d, i), subs in subsets.items():
-        present = set(subs)
-        for sub in subs:
-            if len(sub) == 1:
-                continue
-            for pos, c in enumerate(sub):
-                smaller = sub[:pos] + sub[pos + 1 :]
-                if smaller in present:
-                    entries[((d, i, smaller), (d, i, sub))] = Fraction((-1) ** pos)
+        term_cells, term_entries = _cech_complex(subs, (d, i), d)
+        cells.update(term_cells)
+        entries.update(term_entries)
     # Term differentials, sign-twisted by the Cech degree.
     for d, tab in cx.diffs.items():
         for (i, j), mono in tab.items():
@@ -634,7 +584,7 @@ def hypercohomology_strand(cx: MonomialComplex, char: Character) -> dict[int, in
                     )
                 sign = -1 if (len(sub) - 1) % 2 else 1
                 entries[((d, i, sub), (d + 1, j, sub))] = mono.coeff * sign
-    result = {d: h for d, h in chain_reduce_homology(cells, entries).items() if h}
+    result = chain_reduce_homology(cells, entries)
     _HYPER_MEMO[key] = result
     return result
 

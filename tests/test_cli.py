@@ -155,3 +155,22 @@ class TestCohomology:
             code, _, err = run(capsys, "cohomology", *argv)
             assert code == 2, argv
             assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_negative_rows_and_box(self, capsys):
+        for flag in ("--rows", "--box"):
+            code, out, err = run(
+                capsys, "cohomology", "--seq", "1,1;", "--twist", "-2", flag, "-1"
+            )
+            assert code == 2, flag
+            assert err.startswith("error: ") and flag[2:] in err
+            assert out == ""
+
+    def test_chart_cover_too_large(self, capsys):
+        # 5 x 5 charts on Y: refused before any of the 2^25 subsets is formed.
+        code, out, err = run(
+            capsys, "cohomology", "--seq", "1,1,1,1,1;1,1,1,1,1", "--space", "Y",
+            "--twist", "0,0", "--box", "1",
+        )
+        assert code == 2
+        assert err.startswith("error: ") and "25 charts" in err
+        assert "Traceback" not in err and out == ""

@@ -120,6 +120,48 @@ class TestRoundtrips:
         assert len(built) == len(set(built))
         assert 0 < len(built) < rep.details["strands_checked"]
 
+    def test_off_section_characters_have_empty_strands(self):
+        # The sweep visits characters with nonnegative exponents only; at a
+        # degree-k character with a negative exponent the composite's strand
+        # homology must vanish, as O(k)'s does.
+        from orbiflip import Character, strand
+        from orbiflip.linalg import characters_of_degree
+
+        for s in (ATIYAH, FLOP):
+            for k in (0, 1):
+                for first, second in (("F", "G"), ("F", "H")):
+                    out = as_complex(s, apply(s, second, as_complex(s, apply(s, first, k))))
+                    off = [
+                        ch
+                        for ch in characters_of_degree(s, "minus", k, low=-3, high=3)
+                        if not ch.is_nonnegative()
+                    ]
+                    assert len(off) > 50
+                    for ch in off[::7]:
+                        assert strand(out, ch).homology() == {}, (str(s), k, second, ch)
+
+    def test_negative_offset_fails_the_verdict(self, monkeypatch):
+        # Translating the composite by a degree-0 character with negative
+        # exponents leaves every swept strand's homology at {0: 1}; only the
+        # offset check sees that strands off the sections no longer vanish.
+        import orbiflip.functors as functors
+        from orbiflip import Character
+
+        original = functors._apply_with_powers
+        shift = Character((-1, 0), (-1, 0))
+
+        def translated(s, functor, u):
+            out, powers = original(s, functor, u)
+            if functor == "G":
+                out = as_complex(s, out).translate(shift)
+            return out, powers
+
+        monkeypatch.setattr(functors, "_apply_with_powers", translated)
+        rep = roundtrip_check(ATIYAH, 1, "GF")
+        assert not rep.verdict
+        assert rep.details["mismatches"]
+        assert all("negative_offset" in m for m in rep.details["mismatches"])
+
     def test_report_serializes(self):
         rep = roundtrip_check(ATIYAH, 1, "HF")
         data = rep.to_json_dict()
@@ -147,14 +189,6 @@ class TestEquivalenceSuite:
             equivalence_suite(ATIYAH, range(-3, 0))
         with pytest.raises(Unsupported):
             equivalence_suite(seq("1,1;2,1"), [-1])
-
-    def test_threaded_matches_serial(self):
-        serial = equivalence_suite(ATIYAH, range(0, 2))
-        threaded = equivalence_suite(ATIYAH, range(0, 2), threads=4)
-        assert [c.inputs for c in serial.children] == [
-            c.inputs for c in threaded.children
-        ]
-        assert serial.verdict == threaded.verdict
 
 
 class TestAdjunction:

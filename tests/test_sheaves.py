@@ -11,7 +11,6 @@ from orbiflip import (
     UnsupportedWeights,
     WeightSequence,
     WrongSide,
-    cech_cohomology,
     class_of_divisor,
     cohomology_table,
     dualizing_class,
@@ -124,23 +123,23 @@ class TestSerreTwist:
 
 class TestCechOracle:
     def test_projective_line_negative_twist(self):
-        table = cech_cohomology(seq("1,1;"), "minus", -2, 4)
+        table = cohomology_table(seq("1,1;"), "minus", -2, 4)
         assert total_cohomology(table) == {1: 1}
 
     def test_wps_sections_match_basis(self):
-        table = cech_cohomology(seq("1,1,2;"), "minus", 2, 6)
+        table = cohomology_table(seq("1,1,2;"), "minus", 2, 6)
         assert total_cohomology(table) == {0: 4}
         assert len(section_basis(seq("1,1,2;"), "minus", 2, 6)) == 4
 
     def test_minus_side_nonnegative_twists_have_no_higher_cohomology(self):
         for k in range(0, 5):
-            table = cech_cohomology(FLOP, "minus", k, 5)
+            table = cohomology_table(FLOP, "minus", k, 5)
             assert all(set(dims) == {0} for dims in table.values())
 
     def test_mixed_sign_characters_vanish_on_wps(self):
         s = seq("1,1,2;")
         for k in range(-8, 3):
-            for ch, dims in cech_cohomology(s, "minus", k, 5).items():
+            for ch, dims in cohomology_table(s, "minus", k, 5).items():
                 neg = [e < 0 for e in ch.alpha]
                 assert all(neg) or not any(neg)
 
@@ -159,6 +158,17 @@ class TestCechOracle:
         )
         unit = Character((0, 0), (0, 0, 0))
         assert unit not in table
+
+    def test_chart_cover_limit(self):
+        from orbiflip import Unsupported
+        from orbiflip.sheaves import CHART_LIMIT, _pattern_subsets
+
+        empty = frozenset()
+        assert len(_pattern_subsets("Y", 3, 4, (empty, empty))) == 2**12 - 1 == 2**CHART_LIMIT - 1
+        with pytest.raises(Unsupported):
+            _pattern_subsets("minus", CHART_LIMIT + 1, 0, empty)
+        with pytest.raises(Unsupported):
+            _pattern_subsets("plus", 0, CHART_LIMIT + 1, frozenset({0}))
 
     def test_box_too_large_guard(self):
         from orbiflip import BoxTooLarge
