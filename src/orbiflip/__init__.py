@@ -50,7 +50,6 @@ from .linalg import (
     SPACE_PLUS,
     SPACE_Y,
     Character,
-    Monomial,
     MonomialComplex,
     StrandComplex,
     Term,

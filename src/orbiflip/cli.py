@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .charts import atlas_report
 from .errors import OrbiflipError, ParseError, PreconditionKLevel, Unsupported
@@ -40,37 +39,6 @@ SCHEMA = "orbiflip/1"
 EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_USAGE = 2
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run configuration shared by the verification commands."""
-
-    sequence: str
-    command: str
-    box: int = 8
-    k_range: tuple[int, ...] = (0,)
-    output_format: str = "text"  # "text" | "json"
-
-    def __post_init__(self):
-        if self.box < 1:
-            raise ParseError("box limit must be >= 1")
-        if not self.k_range:
-            raise ParseError("k-range must be nonempty")
-        if self.output_format not in ("text", "json"):
-            raise ParseError(f"unknown output format {self.output_format!r}")
-
-
-def _run_config(args) -> RunConfig:
-    k_min = getattr(args, "k_min", 0)
-    k_max = getattr(args, "k_max", k_min)
-    return RunConfig(
-        sequence=args.seq,
-        command=args.command,
-        box=getattr(args, "box", 8),
-        k_range=tuple(range(k_min, k_max + 1)),
-        output_format="json" if args.json else "text",
-    )
 
 
 def _parse_seq(text: str) -> WeightSequence:
@@ -141,6 +109,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_resolve(args) -> int:
     seq = _parse_seq(args.seq)
+    if args.k < 0:
+        raise ParseError("threshold k must be >= 0")
     side = args.side
     weights = seq.a if side == SPACE_PLUS else seq.b
     if not weights:
@@ -192,9 +162,12 @@ def cmd_transform(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    config = _run_config(args)
-    seq = _parse_seq(config.sequence)
-    ks = config.k_range
+    if args.box < 1:
+        raise ParseError("box limit must be >= 1")
+    ks = tuple(range(args.k_min, args.k_max + 1))
+    if not ks:
+        raise ParseError("k-range must be nonempty")
+    seq = _parse_seq(args.seq)
     run_all = args.suite == "all"
     suites = (
         ["roundtrip", "adjunction", "serre", "pushforward", "example51"]
@@ -220,7 +193,7 @@ def cmd_verify(args) -> int:
             if require(suite, seq.m >= 2 and seq.n >= 2, "round trips need m, n >= 2") and require(
                 suite, seq.sum_a <= seq.sum_b, "sum(a) > sum(b); swap sides"
             ):
-                # round trips derive their own degree-scale boxes
+                # round trips derive their own box from k + sum(a) + sum(b)
                 reports.append(equivalence_suite(seq, ks))
         elif suite == "adjunction":
             if require(suite, seq.m >= 2 and seq.n >= 2, "adjunctions need m, n >= 2") and require(
@@ -228,7 +201,7 @@ def cmd_verify(args) -> int:
             ):
                 pairs = [(0, 0), (1, 0), (0, 1), (1, 1)]
                 children = [
-                    adjunction_check(seq, u, v, box=min(config.box, 4)) for u, v in pairs
+                    adjunction_check(seq, u, v, box=min(args.box, 4)) for u, v in pairs
                 ]
                 reports.append(
                     VerificationReport(
@@ -246,12 +219,12 @@ def cmd_verify(args) -> int:
             if require(suite, seq.m >= 2 and seq.n >= 2, "pushforward suites need m, n >= 2"):
                 reports.append(
                     pushforward_oracle_suite(
-                        seq, s_box=min(config.box, 4), char_box=min(config.box, 6)
+                        seq, s_box=min(args.box, 4), char_box=min(args.box, 6)
                     )
                 )
         elif suite == "example51":
             if require(suite, seq == example_seq, "the cotangent example is stated for 1,2;1,1,1"):
-                reports.append(example51_verify(seq))
+                reports.append(example51_verify())
         else:
             _unsupported(suite, "unknown suite")
     verdict = all(r.verdict for r in reports)
@@ -372,7 +345,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--k-min", type=int, default=0)
     p.add_argument("--k-max", type=int, default=6)
-    p.add_argument("--box", type=int, default=8, help="character box bound")
+    p.add_argument(
+        "--box",
+        type=int,
+        default=8,
+        help="character box bound, read by the adjunction suite (min(box, 4)) and "
+        "the pushforward suite (s_box min(box, 4), char_box min(box, 6)); round "
+        "trips derive their own box from k + sum(a) + sum(b)",
+    )
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("cohomology", help="per-character Cech cohomology table")

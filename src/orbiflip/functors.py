@@ -42,7 +42,6 @@ from .linalg import (
 )
 from .resolution import build_resolution
 from .sheaves import (
-    TwistClass,
     euler_cotangent_complex,
     hypercohomology_table,
     pushforward_rule,
@@ -52,20 +51,11 @@ from .weights import WeightSequence, is_well_formed
 
 FUNCTOR_NAMES = ("F", "G", "H", "Fprime", "Gprime", "Hprime")
 
-_PAIR_ALIASES = {
-    "GF": "GF",
-    "HF": "HF",
-    "G'F'": "GpFp",
-    "H'F'": "HpFp",
-    "GpFp": "GpFp",
-    "HpFp": "HpFp",
-}
-
 _PAIRS = {
     "GF": ("F", "G"),
     "HF": ("F", "H"),
-    "GpFp": ("Fprime", "Gprime"),
-    "HpFp": ("Fprime", "Hprime"),
+    "G'F'": ("Fprime", "Gprime"),
+    "H'F'": ("Fprime", "Hprime"),
 }
 
 
@@ -119,10 +109,6 @@ def _coerce_input(seq: WeightSequence, side: str, u) -> MonomialComplex:
         return u
     if isinstance(u, IdealImage):
         return as_complex(seq, u)
-    if isinstance(u, TwistClass):
-        if u.space != side:
-            raise Unsupported(f"twist on {u.space!r}, functor pulls from {side!r}")
-        return single_twist_complex(seq, side, u.k)
     if isinstance(u, int):
         return single_twist_complex(seq, side, u)
     raise Unsupported(f"cannot interpret {u!r} as an object")
@@ -192,14 +178,10 @@ def push_complex(
 
 
 def _apply_with_powers(
-    seq: WeightSequence, functor, u
+    seq: WeightSequence, functor: str, u
 ) -> tuple[SheafObject, list[int]]:
     """apply() plus the Ebar powers met at the pushforward."""
-    spec = (
-        functor
-        if isinstance(functor, FunctorSpec)
-        else FunctorSpec.for_sequence(functor, seq)
-    )
+    spec = FunctorSpec.for_sequence(functor, seq)
     cx = _coerce_input(seq, spec.pull_side, u)
     ycx = pull_complex(seq, cx)
     c = spec.ebar_power
@@ -208,8 +190,9 @@ def _apply_with_powers(
     return push_complex(seq, ycx, spec.push_side)
 
 
-def apply(seq: WeightSequence, functor, u) -> SheafObject:
-    """Evaluate one functor on a line-bundle complex (or twist, or ideal image).
+def apply(seq: WeightSequence, functor: str, u) -> SheafObject:
+    """Evaluate the named functor on a line-bundle complex, an integer twist
+    or an ideal image.
 
     Composites that push resolution images to the minus side need
     sum(a) <= sum(b); roundtrip_check enforces that precondition and this
@@ -258,16 +241,14 @@ def _require_roundtrip_preconditions(seq: WeightSequence):
         )
 
 
-def _roundtrip_caps(seq: WeightSequence, k: int, box: int | None):
-    scale = box if box is not None else k + seq.sum_a + seq.sum_b
+def _roundtrip_caps(seq: WeightSequence, k: int):
+    scale = k + seq.sum_a + seq.sum_b
     alpha = tuple(scale // w + 1 for w in seq.a)
     beta = tuple(scale // w + 1 for w in seq.b)
     return (0, (alpha, beta))
 
 
-def roundtrip_check(
-    seq: WeightSequence, k: int, pair: str, box: int | None = None
-) -> VerificationReport:
+def roundtrip_check(seq: WeightSequence, k: int, pair: str) -> VerificationReport:
     """Check that a composite round trip fixes O(k) on the minus side.
 
     pair is one of GF, HF, G'F', H'F'.  The composite complex is compared
@@ -282,10 +263,9 @@ def roundtrip_check(
     _require_roundtrip_preconditions(seq)
     if k < 0:
         raise Unsupported("round trips are stated for k >= 0")
-    key = _PAIR_ALIASES.get(pair)
-    if key is None:
+    if pair not in _PAIRS:
         raise Unsupported(f"unknown round-trip pair {pair!r}")
-    first_name, second_name = _PAIRS[key]
+    first_name, second_name = _PAIRS[pair]
 
     image = apply(seq, first_name, k)
     mid = as_complex(seq, image)
@@ -298,7 +278,7 @@ def roundtrip_check(
             f"intermediate Ebar power outside [0, {top}]: {sorted(set(powers))}"
         )
 
-    low, caps = _roundtrip_caps(seq, k, box)
+    low, caps = _roundtrip_caps(seq, k)
     checked = 0
     mismatches = [
         {"degree": d, "negative_offset": [list(t.offset.alpha), list(t.offset.beta)]}
@@ -426,9 +406,7 @@ def adjunction_check(
     )
 
 
-def equivalence_suite(
-    seq: WeightSequence, k_range, box: int | None = None
-) -> VerificationReport:
+def equivalence_suite(seq: WeightSequence, k_range) -> VerificationReport:
     """Round trips over a k-range, in every variant the K-level admits.
 
     GF and HF run for every k >= 0 in the range; the primed pairs run for
@@ -462,7 +440,7 @@ def equivalence_suite(
                 continue
             jobs.append((swapped, k, "GF"))
             jobs.append((swapped, k, "HF"))
-    children = [roundtrip_check(s, k, pair, box=box) for s, k, pair in jobs]
+    children = [roundtrip_check(s, k, pair) for s, k, pair in jobs]
     verdict = all(c.verdict for c in children)
     return VerificationReport(
         title="equivalence suite",
@@ -567,11 +545,7 @@ def serre_duality_suite(weight_lists, k_bound: int = 12) -> VerificationReport:
     )
 
 
-def example51_verify(
-    seq: WeightSequence | None = None,
-    s_values=range(-2, 4),
-    box: int = 5,
-) -> VerificationReport:
+def example51_verify(s_values=range(-2, 4), box: int = 5) -> VerificationReport:
     """The cotangent-object transform on (1,2;1,1,1).
 
     Both displayed pipelines are evaluated: push- . pull+ on the cotangent
@@ -581,12 +555,7 @@ def example51_verify(
     dimension in degree 1 for odd s and zero for even s: the signature of the
     skyscraper at the half-point with its nontrivial character.
     """
-    target = WeightSequence((1, 2), (1, 1, 1))
-    if seq is None:
-        seq = target
-    if seq != target:
-        raise Unsupported("the cotangent example is stated for (1,2;1,1,1)")
-
+    seq = WeightSequence((1, 2), (1, 1, 1))
     variant_a = pull_complex(seq, euler_cotangent_complex(seq, SPACE_PLUS, -1))
     c = seq.sum_a - 1
     variant_b = pull_complex(seq, euler_cotangent_complex(seq, SPACE_PLUS, 1)).tensor(

@@ -9,9 +9,10 @@ Each complex term carries, besides its twist, an offset character: the
 cumulative monomial multidegree relative to the complex's reference sheaf.
 The strand of the complex at an absolute character chi selects in each term
 the single potential basis monomial chi - offset and keeps it when it is a
-section of the term's twist on the ambient space.  Differential entries act
-on strands by their rational coefficients alone, the monomial part being
-absorbed by the offsets.
+section of the term's twist on the ambient space.  Differential entries
+store their rational coefficients alone: the monomial of an entry is the
+difference of its source and target offsets, derived only to check that the
+entry is a section.
 """
 
 from __future__ import annotations
@@ -77,13 +78,6 @@ def x_character(seq: WeightSequence, exponents) -> Character:
 
 def y_character(seq: WeightSequence, exponents) -> Character:
     return Character((0,) * seq.m, tuple(exponents))
-
-
-class Monomial(NamedTuple):
-    """A nonzero rational multiple of a single character."""
-
-    coeff: Fraction
-    char: Character
 
 
 class Term(NamedTuple):
@@ -235,9 +229,10 @@ class MonomialComplex:
 
     terms maps a cohomological degree to its tuple of Terms; diffs[d] maps
     (source_index, target_index) pairs, source in degree d and target in
-    degree d + 1, to Monomial entries.  Construction verifies that entries
-    are honest sheaf maps (nonnegative monomial of the degree dictated by the
-    twists, consistent with the offsets) and that d composed with d vanishes.
+    degree d + 1, to the entry's nonzero rational coefficient.  The entry's
+    monomial is the offset difference source - target.  Construction verifies
+    that entries are honest sheaf maps (that monomial is a section of the
+    twist difference) and that d composed with d vanishes.
     """
 
     def __init__(self, seq: WeightSequence, space: str, terms, diffs):
@@ -248,7 +243,7 @@ class MonomialComplex:
         self.terms: dict[int, tuple[Term, ...]] = {
             d: tuple(ts) for d, ts in terms.items() if ts
         }
-        self.diffs: dict[int, dict[tuple[int, int], Monomial]] = {
+        self.diffs: dict[int, dict[tuple[int, int], Fraction]] = {
             d: dict(tab) for d, tab in diffs.items() if tab
         }
         self._validate()
@@ -284,34 +279,30 @@ class MonomialComplex:
         for d, tab in self.diffs.items():
             srcs = self.terms.get(d, ())
             tgts = self.terms.get(d + 1, ())
-            for (i, j), mono in tab.items():
+            for (i, j), coeff in tab.items():
                 if i >= len(srcs) or j >= len(tgts):
                     raise InconsistentDegrees("differential entry out of range")
-                if mono.coeff == 0:
+                if coeff == 0:
                     raise InconsistentDegrees("zero coefficient stored")
                 src, tgt = srcs[i], tgts[j]
                 gamma = src.offset - tgt.offset
-                if gamma != mono.char:
-                    raise InconsistentDegrees(
-                        "entry character must equal offset difference"
-                    )
                 delta = _twist_delta(self.space, src.twist, tgt.twist)
                 if not is_section(seq, space, delta, gamma):
                     raise InconsistentDegrees(
-                        f"entry {mono.char.render()} is not a section of O({delta})"
+                        f"entry {gamma.render()} is not a section of O({delta})"
                     )
 
-        # d o d = 0, coefficientwise (characters agree automatically).
+        # d o d = 0, coefficientwise (monomials agree automatically).
         for d, tab in self.diffs.items():
             nxt = self.diffs.get(d + 1)
             if not nxt:
                 continue
             acc: dict[tuple[int, int], Fraction] = {}
-            for (i, j), m1 in tab.items():
-                for (j2, k), m2 in nxt.items():
+            for (i, j), c1 in tab.items():
+                for (j2, k), c2 in nxt.items():
                     if j2 == j:
                         key = (i, k)
-                        acc[key] = acc.get(key, Fraction(0)) + m1.coeff * m2.coeff
+                        acc[key] = acc.get(key, Fraction(0)) + c1 * c2
             for key, total in acc.items():
                 if total != 0:
                     raise InconsistentDegrees(f"d o d != 0 at {d}, entry {key}")
@@ -354,7 +345,7 @@ class MonomialComplex:
     def translate(self, offset_delta: Character, degree_delta: int = 0) -> "MonomialComplex":
         """Add a common character to every offset and shift all degrees up.
 
-        Entry characters are offset differences, so they are unchanged; only
+        Entry monomials are offset differences, so they are unchanged; only
         the reference point of the strand grading moves.
         """
         terms = {
@@ -380,14 +371,14 @@ class MonomialComplex:
                     tw = target_twist - t.twist
                 index[(d, i)] = (nd, len(terms[nd]))
                 terms[nd].append(Term(tw, -t.offset))
-        diffs: dict[int, dict[tuple[int, int], Monomial]] = {}
+        diffs: dict[int, dict[tuple[int, int], Fraction]] = {}
         for d, tab in self.diffs.items():
-            for (i, j), mono in tab.items():
+            for (i, j), coeff in tab.items():
                 (sd, si) = index[(d + 1, j)]
                 (td, ti) = index[(d, i)]
                 # sd = -(d+1), td = -d = sd + 1
                 sign = -1 if sd % 2 else 1
-                diffs.setdefault(sd, {})[(si, ti)] = Monomial(mono.coeff * sign, mono.char)
+                diffs.setdefault(sd, {})[(si, ti)] = coeff * sign
         return MonomialComplex(self.seq, self.space, terms, diffs)
 
     def summary(self) -> dict:
@@ -400,26 +391,6 @@ class MonomialComplex:
                 str(d): [tw(t.twist) for t in ts] for d, ts in sorted(self.terms.items())
             },
         }
-
-    def to_json_dict(self) -> dict:
-        data = self.summary()
-        data["offsets"] = {
-            str(d): [[list(t.offset.alpha), list(t.offset.beta)] for t in ts]
-            for d, ts in sorted(self.terms.items())
-        }
-        data["entries"] = {
-            str(d): [
-                {
-                    "src": i,
-                    "tgt": j,
-                    "coeff": str(m.coeff),
-                    "char": [list(m.char.alpha), list(m.char.beta)],
-                }
-                for (i, j), m in sorted(tab.items())
-            ]
-            for d, tab in sorted(self.diffs.items())
-        }
-        return data
 
 
 def single_twist_complex(
@@ -561,14 +532,14 @@ def strand(cx: MonomialComplex, character: Character) -> StrandComplex:
         rows = [[Fraction(0)] * len(src) for _ in tgt]
         tab = cx.diffs.get(d, {})
         for c, i in enumerate(src):
-            for (si, tj), mono in tab.items():
+            for (si, tj), coeff in tab.items():
                 if si != i:
                     continue
                 if tj not in pos:
                     raise InconsistentDegrees(
                         "present source maps to absent target in strand"
                     )
-                rows[pos[tj]][c] = mono.coeff
+                rows[pos[tj]][c] = coeff
         mats.append(tuple(tuple(r) for r in rows))
     return StrandComplex(character, degrees, tuple(bases), tuple(mats))
 

@@ -30,7 +30,6 @@ from .linalg import (
     SPACE_MODULE,
     SPACE_PLUS,
     Character,
-    Monomial,
     MonomialComplex,
     Term,
     strand,
@@ -96,7 +95,7 @@ class ResolutionDegrees:
 THRESHOLD_CAP = 64
 
 
-def _check_threshold(k: int, cap: int | None):
+def _check_threshold(k: int, cap: int | None = None):
     limit = THRESHOLD_CAP if cap is None else cap
     if k > limit:
         raise Unsupported(
@@ -264,7 +263,6 @@ def build_resolution(
     k: int,
     side: str = SPACE_PLUS,
     extra_twist: int = 0,
-    cap: int | None = None,
 ) -> MonomialComplex:
     """The minimal resolution of the threshold ideal sheaf I_k(extra_twist) as
     an explicit complex of twists on the requested side.
@@ -290,7 +288,7 @@ def build_resolution(
         raise Unsupported(f"side {side!r} of {seq} has no variables")
     weights = tuple(weights)
     k = max(k, 0)
-    _check_threshold(k, cap)
+    _check_threshold(k)
     positions, raw_diffs = _certified_module_resolution(weights, k)
     return _assemble(seq, side, positions, raw_diffs, extra_twist)
 
@@ -301,7 +299,9 @@ def _assemble(seq, space, positions, raw_diffs, extra_twist=0) -> MonomialComple
     Position l sits in cohomological degree 1 - l.  A generator mu becomes
     the term with offset mu in the y-variables on the minus side, in the
     x-variables otherwise, and twist w.mu + extra_twist on a side; on module,
-    where twists only index generators, the twist is -w.mu.
+    where twists only index generators, the twist is -w.mu.  The raw
+    coefficient tables are the differentials: F_l (degree 1 - l) maps to
+    F_{l-1} (degree 2 - l).
     """
     if space == SPACE_MINUS:
         weights = seq.b
@@ -317,14 +317,7 @@ def _assemble(seq, space, positions, raw_diffs, extra_twist=0) -> MonomialComple
         1 - (l + 1): [Term(twist_of(mu), embed(mu)) for mu in gens]
         for l, gens in enumerate(positions)
     }
-    diffs: dict[int, dict[tuple[int, int], Monomial]] = {}
-    for l, table in enumerate(raw_diffs, start=2):
-        # F_l (degree 1 - l) -> F_{l-1} (degree 2 - l)
-        tab = {}
-        for (i, j), coeff in table.items():
-            gamma = embed(positions[l - 1][i]) - embed(positions[l - 2][j])
-            tab[(i, j)] = Monomial(coeff, gamma)
-        diffs[1 - l] = tab
+    diffs = {1 - l: table for l, table in enumerate(raw_diffs, start=2)}
     return MonomialComplex(seq, space, terms, diffs)
 
 

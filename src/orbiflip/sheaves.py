@@ -39,7 +39,6 @@ from .linalg import (
     SPACE_PLUS,
     SPACE_Y,
     Character,
-    Monomial,
     MonomialComplex,
     Term,
     characters_of_degree,
@@ -336,12 +335,6 @@ def _y_pattern_dims(m: int, n: int, neg_x: frozenset, neg_y: frozenset) -> dict[
     return chain_reduce_homology(*_cech_complex(subsets))
 
 
-def _char_weighted(seq: WeightSequence, char: Character) -> tuple[int, int]:
-    da = sum(w * e for w, e in zip(seq.a, char.alpha))
-    db = sum(w * e for w, e in zip(seq.b, char.beta))
-    return da, db
-
-
 def character_cohomology(
     seq: WeightSequence, space: str, twist, char: Character, threshold: int | None = None
 ) -> dict[int, int]:
@@ -349,37 +342,14 @@ def character_cohomology(
 
     The character must satisfy the degree equation of the twist; otherwise
     the answer is empty.  threshold adds the ideal-sheaf condition: weighted
-    y-degree >= threshold on X-, weighted x-degree >= threshold on X+.
+    y-degree >= threshold on X-, weighted x-degree >= threshold on X+.  The
+    dims are those of the character's sign pattern, as in cohomology_table.
     """
-    da, db = _char_weighted(seq, char)
-    if space == SPACE_MINUS:
-        if da - db != twist:
-            return {}
-        if any(e < 0 for e in char.beta):
-            return {}
-        if threshold is not None and db < threshold:
-            return {}
-        neg = frozenset(i for i, e in enumerate(char.alpha) if e < 0)
-        return _side_pattern_dims(seq.m, neg)
-    if space == SPACE_PLUS:
-        if db - da != twist:
-            return {}
-        if any(e < 0 for e in char.alpha):
-            return {}
-        if threshold is not None and da < threshold:
-            return {}
-        neg = frozenset(j for j, e in enumerate(char.beta) if e < 0)
-        return _side_pattern_dims(seq.n, neg)
+    pattern = _term_pattern(seq, space, twist, char, threshold)
+    d = degree(seq, space, char)
     if space == SPACE_Y:
-        k1, k2 = twist
-        if da - db != k1 - k2:
-            return {}
-        if da < k1:
-            return {}
-        neg_x = frozenset(i for i, e in enumerate(char.alpha) if e < 0)
-        neg_y = frozenset(j for j, e in enumerate(char.beta) if e < 0)
-        return _y_pattern_dims(seq.m, seq.n, neg_x, neg_y)
-    raise WrongSide(f"no Cech cover on {space!r}")
+        d, twist = d[0] - d[1], twist[0] - twist[1]
+    return _pattern_homology(space, seq.m, seq.n, pattern) if d == twist else {}
 
 
 def _box_bounds(seq: WeightSequence, space: str, box: int):
@@ -398,16 +368,19 @@ def cohomology_table(
     twist,
     box: int,
     threshold: int | None = None,
-    limit: int | None = None,
 ) -> dict[Character, dict[int, int]]:
     """Per-character cohomology of a twist over the exponent box; zero rows
-    are omitted, so tables compare as sparse dictionaries."""
+    are omitted, so tables compare as sparse dictionaries.
+
+    The enumerator yields only characters of the twist's degree, so each
+    one's dims are read off its sign pattern with no further degree test.
+    """
     value = twist[0] - twist[1] if space == SPACE_Y else twist
     lows, highs = _box_bounds(seq, space, box)
+    m, n = seq.m, seq.n
     out: dict[Character, dict[int, int]] = {}
-    kwargs = {} if limit is None else {"limit": limit}
-    for ch in characters_of_degree(seq, space, value, low=lows, high=highs, **kwargs):
-        dims = character_cohomology(seq, space, twist, ch, threshold)
+    for ch in characters_of_degree(seq, space, value, low=lows, high=highs):
+        dims = _pattern_homology(space, m, n, _term_pattern(seq, space, twist, ch, threshold))
         if dims:
             out[ch] = dims
     return out
@@ -530,9 +503,9 @@ def _structure_signature(cx: MonomialComplex):
             cx.seq.b,
             tuple((d, len(ts)) for d, ts in sorted(cx.terms.items())),
             tuple(
-                (d, i, j, mono.coeff)
+                (d, i, j, coeff)
                 for d, tab in sorted(cx.diffs.items())
-                for (i, j), mono in sorted(tab.items())
+                for (i, j), coeff in sorted(tab.items())
             ),
         )
         cx._signature = sig
@@ -576,22 +549,20 @@ def hypercohomology_strand(cx: MonomialComplex, char: Character) -> dict[int, in
         entries.update(term_entries)
     # Term differentials, sign-twisted by the Cech degree.
     for d, tab in cx.diffs.items():
-        for (i, j), mono in tab.items():
+        for (i, j), coeff in tab.items():
             for sub in subsets.get((d, i), ()):
                 if (d + 1, j, sub) not in cells:
                     raise InconsistentDegrees(
                         "chart membership not monotone along a differential"
                     )
                 sign = -1 if (len(sub) - 1) % 2 else 1
-                entries[((d, i, sub), (d + 1, j, sub))] = mono.coeff * sign
+                entries[((d, i, sub), (d + 1, j, sub))] = coeff * sign
     result = chain_reduce_homology(cells, entries)
     _HYPER_MEMO[key] = result
     return result
 
 
-def hypercohomology_table(
-    cx: MonomialComplex, box: int, limit: int | None = None
-) -> dict[Character, dict[int, int]]:
+def hypercohomology_table(cx: MonomialComplex, box: int) -> dict[Character, dict[int, int]]:
     """Per-character hypercohomology of a complex of twists over a box.
 
     The live region of a strand sits inside the envelope of the term offsets:
@@ -601,7 +572,7 @@ def hypercohomology_table(
     if cx.reference_degree is None or not cx.terms:
         return {}
     lows, highs = hypercohomology_bounds(cx, box)
-    return hypercohomology_table_bounded(cx, lows, highs, limit=limit)
+    return hypercohomology_table_bounded(cx, lows, highs)
 
 
 def hypercohomology_bounds(cx: MonomialComplex, box: int):
@@ -626,16 +597,13 @@ def hypercohomology_bounds(cx: MonomialComplex, box: int):
 
 
 def hypercohomology_table_bounded(
-    cx: MonomialComplex, lows, highs, limit: int | None = None
+    cx: MonomialComplex, lows, highs
 ) -> dict[Character, dict[int, int]]:
     """hypercohomology_table over explicit per-coordinate character bounds."""
     if cx.reference_degree is None or not cx.terms:
         return {}
     out: dict[Character, dict[int, int]] = {}
-    kwargs = {} if limit is None else {"limit": limit}
-    for ch in characters_of_degree(
-        cx.seq, cx.space, cx.reference_degree, low=lows, high=highs, **kwargs
-    ):
+    for ch in characters_of_degree(cx.seq, cx.space, cx.reference_degree, low=lows, high=highs):
         dims = hypercohomology_strand(cx, ch)
         if dims:
             out[ch] = dims
@@ -680,18 +648,14 @@ def exceptional_koszul(seq: WeightSequence, side: str, d: int) -> MonomialComple
         terms.setdefault(deg, [])
         index[sub] = (deg, len(terms[deg]))
         terms[deg].append(Term(twist, embed(exps)))
-    diffs: dict[int, dict[tuple[int, int], Monomial]] = {}
+    diffs: dict[int, dict[tuple[int, int], Fraction]] = {}
     for sub in subsets:
         if not sub:
             continue
         sdeg, sidx = index[sub]
-        for pos, i in enumerate(sub):
-            smaller = sub[:pos] + sub[pos + 1 :]
-            tdeg, tidx = index[smaller]
-            gamma = embed(tuple(1 if c == i else 0 for c in range(count)))
-            diffs.setdefault(sdeg, {})[(sidx, tidx)] = Monomial(
-                Fraction(_koszul_sign(pos)), gamma
-            )
+        for pos in range(len(sub)):
+            tdeg, tidx = index[sub[:pos] + sub[pos + 1 :]]
+            diffs.setdefault(sdeg, {})[(sidx, tidx)] = Fraction(_koszul_sign(pos))
     return MonomialComplex(seq, side, terms, diffs)
 
 
@@ -753,28 +717,27 @@ def euler_cotangent_complex(seq: WeightSequence, side: str, d: int) -> MonomialC
             )
         add((sub, 1, None), -len(sub) + 1, d + a_s, base)
 
-    diffs: dict[int, dict[tuple[int, int], Monomial]] = {}
+    diffs: dict[int, dict[tuple[int, int], Fraction]] = {}
 
-    def put(src_key, tgt_key, coeff, gamma):
+    def put(src_key, tgt_key, coeff):
         sdeg, sidx = index[src_key]
         tdeg, tidx = index[tgt_key]
         if tdeg != sdeg + 1:
             raise InconsistentDegrees("totalization degree mismatch")
-        diffs.setdefault(sdeg, {})[(sidx, tidx)] = Monomial(Fraction(coeff), gamma)
+        diffs.setdefault(sdeg, {})[(sidx, tidx)] = Fraction(coeff)
 
     for sub in subsets:
         # Koszul differentials within each row.
-        for pos, i in enumerate(sub):
+        for pos in range(len(sub)):
             smaller = sub[:pos] + sub[pos + 1 :]
-            gamma = embed_cut(tuple(1 if c == i else 0 for c in range(count)))
             sign = _koszul_sign(pos)
             for j in range(fiber):
-                put((sub, 0, j), (smaller, 0, j), sign, gamma)
-            put((sub, 1, None), (smaller, 1, None), sign, gamma)
+                put((sub, 0, j), (smaller, 0, j), sign)
+            put((sub, 1, None), (smaller, 1, None), sign)
         # Euler map across rows, sign-twisted by the Koszul degree.
         esign = -1 if len(sub) % 2 else 1
         for j in range(fiber):
-            put((sub, 0, j), (sub, 1, None), esign, embed_fiber(j))
+            put((sub, 0, j), (sub, 1, None), esign)
     return MonomialComplex(seq, side, terms, diffs)
 
 

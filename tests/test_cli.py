@@ -65,6 +65,14 @@ class TestResolve:
         assert code == 0
         assert json.loads(out)["betti"] == [{"l": 1, "degrees": [0]}]
 
+    def test_negative_threshold_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "resolve", "--seq", "1,1;1,1", "--side", "minus", "--k", "-5"
+        )
+        assert code == 2
+        assert err.startswith("error: ") and "k must be >= 0" in err
+        assert out == ""
+
     def test_square_ideal(self, capsys):
         code, out, _ = run(
             capsys, "resolve", "--seq", "1,1;1,1", "--side", "plus", "--k", "2",

@@ -217,10 +217,6 @@ class TestSuites:
         rep = example51_verify(s_values=(0, 1), box=4)
         assert rep.verdict
 
-    def test_example51_rejects_other_sequences(self):
-        with pytest.raises(Unsupported):
-            example51_verify(seq("1,1;1,1"))
-
 
 class TestSheafLevelCrossCheck:
     def test_single_twist_hypercohomology_matches_table(self):

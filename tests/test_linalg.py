@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from orbiflip import (
     Character,
-    Monomial,
     MonomialComplex,
     Term,
     WeightSequence,
@@ -154,12 +153,12 @@ def _koszul_two_variables():
     }
     diffs = {
         -2: {
-            (0, 0): Monomial(Fraction(1), c(0, 1)),
-            (0, 1): Monomial(Fraction(-1), c(1, 0)),
+            (0, 0): Fraction(1),
+            (0, 1): Fraction(-1),
         },
         -1: {
-            (0, 0): Monomial(Fraction(1), c(1, 0)),
-            (1, 0): Monomial(Fraction(1), c(0, 1)),
+            (0, 0): Fraction(1),
+            (1, 0): Fraction(1),
         },
     }
     return MonomialComplex(s, "module", terms, diffs)
@@ -225,12 +224,12 @@ class TestComplexValidation:
         }
         diffs = {
             -2: {
-                (0, 0): Monomial(Fraction(1), c(0, 1)),
-                (0, 1): Monomial(Fraction(1), c(1, 0)),  # bad sign: d.d != 0
+                (0, 0): Fraction(1),
+                (0, 1): Fraction(1),  # bad sign: d.d != 0
             },
             -1: {
-                (0, 0): Monomial(Fraction(1), c(1, 0)),
-                (1, 0): Monomial(Fraction(1), c(0, 1)),
+                (0, 0): Fraction(1),
+                (1, 0): Fraction(1),
             },
         }
         from orbiflip import InconsistentDegrees
@@ -238,17 +237,18 @@ class TestComplexValidation:
         with pytest.raises(InconsistentDegrees):
             MonomialComplex(s, "module", terms, diffs)
 
-    def test_rejects_wrong_entry_character(self):
+    def test_rejects_negative_entry_monomial(self):
+        # The entry's monomial is the offset difference (0,0) - (1,0) = x1^-1.
         s = WeightSequence((1, 1), ())
         c = lambda *alpha: Character(tuple(alpha), ())
         terms = {
-            0: [Term(-1, c(1, 0))],
-            1: [Term(0, c(0, 0))],
+            0: [Term(0, c(0, 0))],
+            1: [Term(-1, c(1, 0))],
         }
-        diffs = {0: {(0, 0): Monomial(Fraction(1), c(0, 1))}}
+        diffs = {0: {(0, 0): Fraction(1)}}
         from orbiflip import InconsistentDegrees
 
-        with pytest.raises(InconsistentDegrees):
+        with pytest.raises(InconsistentDegrees, match="not a section"):
             MonomialComplex(s, "module", terms, diffs)
 
 

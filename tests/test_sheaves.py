@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbiflip import (
     A,
@@ -13,6 +17,7 @@ from orbiflip import (
     WrongSide,
     class_of_divisor,
     cohomology_table,
+    degree,
     dualizing_class,
     euler_cotangent_complex,
     exceptional_koszul,
@@ -24,6 +29,7 @@ from orbiflip import (
     total_cohomology,
     wps_cohomology_totals,
 )
+from orbiflip.sheaves import character_cohomology
 
 
 def seq(text: str) -> WeightSequence:
@@ -174,7 +180,54 @@ class TestCechOracle:
         from orbiflip import BoxTooLarge
 
         with pytest.raises(BoxTooLarge):
-            cohomology_table(FLOP, "Y", (0, 0), 8, limit=100)
+            # 2001^2 > 4M: refused before the first character is formed.
+            cohomology_table(FLOP, "Y", (0, 0), 1000)
+
+
+@st.composite
+def _cech_cases(draw):
+    """A small sequence, a space with its twist, a box <= 2 and a threshold."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 4 - m))
+    weights = st.integers(1, 3)
+    s = WeightSequence(
+        tuple(draw(weights) for _ in range(m)), tuple(draw(weights) for _ in range(n))
+    )
+    space = draw(st.sampled_from(["minus", "plus", "Y"]))
+    k = st.integers(-4, 4)
+    twist = (draw(k), draw(k)) if space == "Y" else draw(k)
+    box = draw(st.integers(0, 2))
+    threshold = draw(st.one_of(st.none(), st.integers(1, 3)))
+    return s, space, twist, box, threshold
+
+
+def _on_degree(s, space, twist, ch):
+    d = degree(s, space, ch)
+    if space == "Y":
+        return d[0] - d[1] == twist[0] - twist[1]
+    return d == twist
+
+
+class TestSharedCechPath:
+    @settings(max_examples=60, deadline=None)
+    @given(_cech_cases())
+    def test_table_matches_per_character_reference(self, case):
+        # cohomology_table reads dims off the sign pattern of each enumerated
+        # character; the reference sweeps every character of the same box
+        # through character_cohomology, degree test included.
+        s, space, twist, box, threshold = case
+        lows = {"minus": (-box, 0), "plus": (0, -box), "Y": (-box, -box)}[space]
+        alpha = itertools.product(range(lows[0], box + 1), repeat=s.m)
+        beta = list(itertools.product(range(lows[1], box + 1), repeat=s.n))
+        brute = {}
+        for a, b in itertools.product(alpha, beta):
+            ch = Character(a, b)
+            dims = character_cohomology(s, space, twist, ch, threshold)
+            if not _on_degree(s, space, twist, ch):
+                assert dims == {}, ch
+            elif dims:
+                brute[ch] = dims
+        assert cohomology_table(s, space, twist, box, threshold=threshold) == brute
 
 
 class TestExceptionalKoszul:
