@@ -1,10 +1,11 @@
 """Threshold ideals I_k and their minimal graded free resolutions.
 
-I_k is spanned by all monomials of weighted degree >= k.  Its minimal free
-resolution is computed twice: the Betti degrees from Koszul strand homology
-of the finite quotient R/I_k, and the explicit monomial matrices from syzygy
-kernels; the two certify each other, and every twist e obeys the bound
-k <= e < k + sum(weights).
+I_k is spanned by all monomials of weighted degree >= k.  Ordered by
+decreasing weight it is a stable ideal, so one Eliahou-Kervaire construction
+gives both its Betti degrees and the explicit monomial matrices of its
+minimal free resolution.  The Betti table is checked against the Hilbert
+series of I_k, the matrices are certified minimal and exact strand by strand,
+and every twist e obeys the bound k <= e < k + sum(weights).
 """
 
 from orbiflip import (

@@ -162,7 +162,8 @@ def cmd_transform(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.box < 1:
+    # Only the adjunction and pushforward suites read --box.
+    if args.suite in ("adjunction", "pushforward", "all") and args.box < 1:
         raise ParseError("box limit must be >= 1")
     ks = tuple(range(args.k_min, args.k_max + 1))
     if not ks:

@@ -1,13 +1,14 @@
 """Exact linear algebra over the rationals.
 
-Everything downstream (strand, Koszul and Cech homology, syzygy solving)
-reduces to homology, kernels and span membership of small matrices with
-integer or rational entries.  Homology of every complex goes through one
-engine, Gaussian chain reduction, which over a field eliminates the
-differential entirely and leaves homology dimensions as the surviving cell
-counts.  Kernels and spans use rational row reduction; fraction-free
-(Bareiss) rank elimination stays as the reference the tests compare against.
-No floating point anywhere.
+Everything downstream (strand, resolution and Cech homology) reduces to the
+homology of small sparse complexes with integer or rational entries, and all
+of it goes through one engine, Gaussian chain reduction, which over a field
+eliminates the differential entirely and leaves homology dimensions as the
+surviving cell counts.  No syzygies are solved: the resolutions come in
+closed form (see resolution.py).  Rational kernels (rref, kernel_basis) and
+fraction-free (Bareiss) ranks are not called by the package; they stay as
+references for the tests, and the benchmark tracer still wraps them.  No
+floating point anywhere.
 """
 
 from __future__ import annotations
@@ -114,48 +115,6 @@ def kernel_basis(rows, ncols: int) -> list[tuple[Fraction, ...]]:
             vec[pcol] = -prow[free]
         basis.append(tuple(vec))
     return basis
-
-
-class RationalSpan:
-    """Incrementally built row space over Q with membership and reduction."""
-
-    def __init__(self, ncols: int):
-        self.ncols = ncols
-        self.rows: list[list[Fraction]] = []
-        self.pivots: list[int] = []
-
-    def reduce(self, vec) -> list[Fraction]:
-        """Residue of vec modulo the current span (does not add it)."""
-        vec = [Fraction(v) for v in vec]
-        for row, p in zip(self.rows, self.pivots):
-            if vec[p]:
-                f = vec[p]
-                for c in range(self.ncols):
-                    if row[c]:
-                        vec[c] -= f * row[c]
-        return vec
-
-    def add(self, vec) -> list[Fraction] | None:
-        """Add vec to the span; return its normalized residue if it was new."""
-        vec = self.reduce(vec)
-        pivot = next((c for c in range(self.ncols) if vec[c]), None)
-        if pivot is None:
-            return None
-        lead = vec[pivot]
-        vec = [v / lead for v in vec]
-        for row in self.rows:
-            if row[pivot]:
-                f = row[pivot]
-                for c in range(self.ncols):
-                    if vec[c]:
-                        row[c] -= f * vec[c]
-        self.rows.append(vec)
-        self.pivots.append(pivot)
-        return vec
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
 
 
 def chain_reduce_homology(cell_degree: dict, entries: dict) -> dict[int, int]:

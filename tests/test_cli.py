@@ -130,6 +130,21 @@ class TestVerify:
         assert data["verdict"] is True
         assert data["schema"] == "orbiflip/1"
 
+    def test_box_checked_only_where_read(self, capsys):
+        for suite in ("serre", "roundtrip"):
+            code, out, _ = run(
+                capsys, "verify", "--seq", "1,1;1,1", "--suite", suite,
+                "--k-max", "1", "--box", "0",
+            )
+            assert code == 0, suite
+            assert "PASS" in out
+        for suite in ("adjunction", "pushforward", "all"):
+            code, _, err = run(
+                capsys, "verify", "--seq", "1,1;1,1", "--suite", suite, "--box", "0"
+            )
+            assert code == 2, suite
+            assert "box limit must be >= 1" in err
+
 
 class TestCohomology:
     def test_projective_line(self, capsys):

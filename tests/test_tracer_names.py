@@ -38,3 +38,13 @@ def test_read_caches_exist():
         assert callable(getattr(sheaves, attr).cache_info), attr
     assert callable(orbiflip.resolution.module_resolution.cache_info)
     assert isinstance(sheaves._HYPER_MEMO, dict)
+
+
+def test_pinned_module_aliases():
+    # perfbench/test_perfbench.py::test_tracer_rebinds_every_alias_and_restores_them
+    # reads these module bindings, so each must stay where it is.
+    engine = orbiflip.exact.chain_reduce_homology
+    assert orbiflip.resolution.chain_reduce_homology is engine
+    assert orbiflip.sheaves.chain_reduce_homology is engine
+    assert orbiflip.functors.strand is orbiflip.resolution.strand is orbiflip.linalg.strand
+    assert orbiflip.cli.apply_functor is orbiflip.functors.apply
