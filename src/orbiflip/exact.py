@@ -125,12 +125,15 @@ def chain_reduce_homology(cell_degree: dict, entries: dict) -> dict[int, int]:
     entries must compose to zero.  Eliminating an entry c at (s, t) removes
     both cells and corrects every parallel pair s' -> t, s -> t' by -a*b/c;
     over a field this terminates with zero differential, so homology in each
-    degree is the number of surviving cells.
+    degree is the number of surviving cells.  Integral coefficients are
+    kept as ints and a pivot c = +-1 divides as a*c, so reductions with unit
+    pivots stay in int arithmetic; any other pivot divides through Fraction,
+    so every value stays exact.
     """
     out: dict = {c: {} for c in cell_degree}
     inc: dict = {c: {} for c in cell_degree}
     for (s, t), coeff in entries.items():
-        coeff = Fraction(coeff)
+        coeff = coeff.numerator if coeff.denominator == 1 else Fraction(coeff)
         if coeff:
             out[s][t] = coeff
             inc[t][s] = coeff
@@ -150,8 +153,9 @@ def chain_reduce_homology(cell_degree: dict, entries: dict) -> dict[int, int]:
             del out[s2][s]
         del out[s], inc[s], out[t], inc[t]
         touched = []
+        unit = c == 1 or c == -1
         for s2, a in col:
-            factor = a / c
+            factor = a * c if unit else Fraction(a) / c
             target_row = out[s2]
             for t2, b in row:
                 new = target_row.get(t2, 0) - factor * b

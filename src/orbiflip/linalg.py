@@ -128,6 +128,41 @@ def is_section(seq: WeightSequence, space: str, twist, char: Character) -> bool:
     return d == twist
 
 
+def _enumeration_plan(seq: WeightSequence, low, high, limit: int):
+    """Flattened weights and bounds of a character box, the coordinate that
+    the degree equation solves (one of largest weight) and the free ones.
+
+    `low` and `high` are int bounds for every exponent or (alpha_bounds,
+    beta_bounds) pairs.  A box whose free coordinates span more than `limit`
+    points is refused with BoxTooLarge; the count stops at the first partial
+    product over the limit.
+    """
+    size = seq.m + seq.n
+    weights = list(seq.a) + [-w for w in seq.b]
+
+    def expand(bound):
+        if isinstance(bound, int):
+            return [bound] * size
+        return list(bound[0]) + list(bound[1])
+
+    lows = expand(low)
+    highs = expand(high)
+    solve_at = max(range(size), key=lambda c: (abs(weights[c]), c))
+    free = [c for c in range(size) if c != solve_at]
+    total = 1
+    for c in free:
+        total *= max(highs[c] - lows[c] + 1, 0)
+        if total > limit:
+            raise BoxTooLarge(f"character box of size > {limit}")
+    return weights, lows, highs, solve_at, free
+
+
+def check_box(seq: WeightSequence, *, low, high) -> None:
+    """Raise BoxTooLarge for exactly the boxes characters_of_degree refuses."""
+    if seq.m + seq.n:
+        _enumeration_plan(seq, low, high, ENUMERATION_LIMIT)
+
+
 def characters_of_degree(
     seq: WeightSequence,
     space: str,
@@ -145,28 +180,12 @@ def characters_of_degree(
     pairs of per-coordinate bounds.  One coordinate of largest weight is
     solved exactly, the others are enumerated.
     """
-    weights = list(seq.a) + [-w for w in seq.b]
     if space == SPACE_PLUS:
         value = -value
-    size = seq.m + seq.n
-    if size == 0:
+    if seq.m + seq.n == 0:
         return
-
-    def expand(bound):
-        if isinstance(bound, int):
-            return [bound] * size
-        return list(bound[0]) + list(bound[1])
-
-    lows = expand(low)
-    highs = expand(high)
-    solve_at = max(range(size), key=lambda c: (abs(weights[c]), c))
-    free = [c for c in range(size) if c != solve_at]
-    total = 1
-    for c in free:
-        total *= max(highs[c] - lows[c] + 1, 0)
-        if total > limit:
-            raise BoxTooLarge(f"character box of size > {limit}")
-    if total == 0:
+    weights, lows, highs, solve_at, free = _enumeration_plan(seq, low, high, limit)
+    if not all(lows[c] <= highs[c] for c in free):
         return
 
     m = seq.m
@@ -312,6 +331,28 @@ class MonomialComplex:
         """The compiled strand membership test (see compile_presence)."""
         return compile_presence(self)
 
+    @cached_property
+    def chamber(self) -> Callable[[Character], tuple[int, ...]]:
+        """The compiled chamber key (see compile_chamber)."""
+        return compile_chamber(self)
+
+    @cached_property
+    def signature(self) -> tuple:
+        """Twist- and offset-free shape of the complex: space, weights, term
+        count per degree and every entry's coefficient.  With the per-term
+        sign patterns it fixes the Cech double complex at a strand."""
+        return (
+            self.space,
+            self.seq.a,
+            self.seq.b,
+            tuple((d, len(ts)) for d, ts in sorted(self.terms.items())),
+            tuple(
+                (d, i, j, coeff)
+                for d, tab in sorted(self.diffs.items())
+                for (i, j), coeff in sorted(tab.items())
+            ),
+        )
+
     def degrees(self) -> list[int]:
         return sorted(self.terms)
 
@@ -439,6 +480,53 @@ class StrandComplex:
         return chain_reduce_homology(cells, entries)
 
 
+def _term_cuts(cx: MonomialComplex):
+    """The term slots of a complex and the cuts of its chambers.
+
+    slots lists (degree, index, term) from the lowest degree up.  Each term
+    contributes one value per coordinate of a flattened character: its
+    offset's exponents, and on Y one more coordinate, the x-weighted degree
+    da(character), valued k1 + da(offset).  cuts[c] holds the distinct values
+    on coordinate c in increasing order; flats[bit] the values of slot bit.
+    """
+    seq = cx.seq
+    slots = [(d, i, t) for d in range(min(cx.terms), max(cx.terms) + 1)
+             for i, t in enumerate(cx.terms.get(d, ()))]
+    flats = [t.offset.alpha + t.offset.beta for _, _, t in slots]
+    if cx.space == SPACE_Y:
+        flats = [
+            off + (t.twist[0] + degree(seq, SPACE_Y, t.offset)[0],)
+            for off, (_, _, t) in zip(flats, slots)
+        ]
+    cuts = [sorted({off[c] for off in flats}) for c in range(len(flats[0]))]
+    return slots, flats, cuts
+
+
+def compile_chamber(cx: MonomialComplex) -> Callable[[Character], tuple[int, ...]]:
+    """Compile the chamber key of a complex, once.
+
+    The cuts of _term_cuts split each coordinate of a character into
+    intervals, and the tuple of interval indices is the character's chamber.
+    Whether character - offset is negative on a coordinate, and on Y whether
+    da(character) >= k1 + da(offset), is fixed on a chamber for every term.
+    So are the strand membership of compile_presence and the per-term sign
+    patterns and flags of the Cech oracle.
+    """
+    if not cx.terms:
+        return lambda character: ()
+    _, _, cuts = _term_cuts(cx)
+    if cx.space != SPACE_Y:
+        return lambda character: tuple(map(bisect_right, cuts, character.alpha + character.beta))
+    a = cx.seq.a
+
+    def chamber(character):
+        alpha = character.alpha
+        flat = alpha + character.beta + (sum(map(mul, a, alpha)),)
+        return tuple(map(bisect_right, cuts, flat))
+
+    return chamber
+
+
 def compile_presence(cx: MonomialComplex) -> Callable[[Character], tuple[tuple[int, ...], ...]]:
     """Compile the strand membership rule of a complex, once.
 
@@ -451,33 +539,25 @@ def compile_presence(cx: MonomialComplex) -> Callable[[Character], tuple[tuple[i
     each term adds the threshold da(character) >= k1 + da(offset); on module
     the only condition is character >= offset.
 
-    Each coordinate cuts the line at the distinct offset values met there;
-    the interval a character falls in selects, by table lookup, the bitmask
-    of terms it satisfies on that coordinate.  The pattern is the AND of the
-    masks, decoded into index tuples once per distinct mask.
+    Each coordinate cuts the line at the values of _term_cuts; the interval a
+    character falls in selects, by table lookup, the bitmask of terms it
+    satisfies on that coordinate.  The pattern is the AND of the masks,
+    decoded into index tuples once per distinct mask.
     """
     if not cx.terms:
         return lambda character: ()
     seq, space = cx.seq, cx.space
     lo, hi = min(cx.terms), max(cx.terms)
-    slots = [(d, i, t) for d in range(lo, hi + 1) for i, t in enumerate(cx.terms.get(d, ()))]
-    flats = [t.offset.alpha + t.offset.beta for _, _, t in slots]
-    if space == SPACE_Y:
-        # da(character) is one more coordinate, cut at k1 + da(offset).
-        flats = [
-            off + (t.twist[0] + degree(seq, SPACE_Y, t.offset)[0],)
-            for off, (_, _, t) in zip(flats, slots)
-        ]
+    slots, flats, cuts = _term_cuts(cx)
 
     def coordinate(c):
-        cuts = sorted({off[c] for off in flats})
-        # masks[j]: terms whose offset is among the j smallest cuts.
-        masks = [0] * (len(cuts) + 1)
+        # masks[j]: terms whose value is among the j smallest cuts.
+        masks = [0] * (len(cuts[c]) + 1)
         for bit, off in enumerate(flats):
-            masks[bisect_right(cuts, off[c])] |= 1 << bit
+            masks[bisect_right(cuts[c], off[c])] |= 1 << bit
         for j in range(1, len(masks)):
             masks[j] |= masks[j - 1]
-        return cuts, masks
+        return cuts[c], masks
 
     coords = [coordinate(c) for c in range(len(flats[0]))]
     groups = [[(1 << bit, i) for bit, (d_, i, _) in enumerate(slots) if d_ == d]

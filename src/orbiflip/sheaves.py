@@ -18,6 +18,14 @@ Membership of a character on a chart intersection is a sign pattern plus, on
 Y and for threshold ideal sheaves, one threshold flag, so homology dimensions
 are memoized per pattern.  Hypercohomology of complexes of twists runs the
 full Cech double complex per strand through exact chain reduction.
+
+Sweeps work per chamber, not per character.  cohomology_table reads the
+pattern homology of each sign orthant of the box once and enumerates only
+the orthants where it is nonzero, testing the flag per character.
+hypercohomology_table_bounded keys characters by the chamber of the complex
+(linalg.compile_chamber), which fixes every term's pattern and flag, and
+reduces one double complex per chamber.  character_cohomology and
+hypercohomology_strand are the per-character references.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .errors import (
     IndexOutOfRange,
@@ -42,6 +51,7 @@ from .linalg import (
     MonomialComplex,
     Term,
     characters_of_degree,
+    check_box,
     degree,
     x_character,
     y_character,
@@ -362,6 +372,33 @@ def _box_bounds(seq: WeightSequence, space: str, box: int):
     return ((-box,) * seq.m, (-box,) * seq.n), ((box,) * seq.m, (box,) * seq.n)
 
 
+def _sign_orthants(seq: WeightSequence, space: str, lows, highs):
+    """Split a character box into its sign orthants.
+
+    Every coordinate whose lower bound is negative is cut into a negative
+    and a nonnegative half.  Yields (pattern, lows, highs) per orthant with
+    no empty coordinate range, where pattern is the _sign_pattern of every
+    character in the orthant.
+    """
+    m = seq.m
+    flat_lo, flat_hi = lows[0] + lows[1], highs[0] + highs[1]
+    split = [c for c, lo in enumerate(flat_lo) if lo < 0]
+    for signs in itertools.product((False, True), repeat=len(split)):
+        lo, hi = list(flat_lo), list(flat_hi)
+        for c, negative in zip(split, signs):
+            if negative:
+                hi[c] = min(hi[c], -1)
+            else:
+                lo[c] = 0
+        if any(l > h for l, h in zip(lo, hi)):
+            continue
+        neg = [c for c, negative in zip(split, signs) if negative]
+        pattern = _sign_pattern(
+            space, frozenset(c for c in neg if c < m), frozenset(c - m for c in neg if c >= m)
+        )
+        yield pattern, (lo[:m], lo[m:]), (hi[:m], hi[m:])
+
+
 def cohomology_table(
     seq: WeightSequence,
     space: str,
@@ -372,17 +409,33 @@ def cohomology_table(
     """Per-character cohomology of a twist over the exponent box; zero rows
     are omitted, so tables compare as sparse dictionaries.
 
-    The enumerator yields only characters of the twist's degree, so each
-    one's dims are read off its sign pattern with no further degree test.
+    A character's dims depend only on its sign orthant, given that it passes
+    the threshold or Y flag.  So the sweep looks up each orthant's pattern
+    homology once and enumerates, with characters_of_degree, only the
+    orthants where it is nonzero.  The whole box is checked against the
+    enumeration limit before any orthant is visited.  An orthant whose Cech
+    cover is too large to reduce is refused with Unsupported only when it
+    holds a character that passes the flag, as character_cohomology would.
     """
+    if space not in (SPACE_MINUS, SPACE_PLUS, SPACE_Y):
+        raise WrongSide(f"no charts on {space!r}")
     value = twist[0] - twist[1] if space == SPACE_Y else twist
     lows, highs = _box_bounds(seq, space, box)
-    m, n = seq.m, seq.n
+    check_box(seq, low=lows, high=highs)
     out: dict[Character, dict[int, int]] = {}
-    for ch in characters_of_degree(seq, space, value, low=lows, high=highs):
-        dims = _pattern_homology(space, m, n, _term_pattern(seq, space, twist, ch, threshold))
-        if dims:
-            out[ch] = dims
+    for pattern, low, high in _sign_orthants(seq, space, lows, highs):
+        refusal = None
+        try:
+            dims = _pattern_homology(space, seq.m, seq.n, pattern)
+        except Unsupported as exc:
+            dims, refusal = None, exc
+        if dims == {}:
+            continue
+        for ch in characters_of_degree(seq, space, value, low=low, high=high):
+            if _passes_flag(seq, space, twist, ch, threshold):
+                if refusal is not None:
+                    raise refusal
+                out[ch] = dims
     return out
 
 
@@ -420,34 +473,45 @@ def wps_cohomology_totals(weights, k: int) -> list[int]:
 # Hypercohomology of complexes of twists.
 
 
-def _term_pattern(seq, space, twist, char, threshold=None):
-    """Sign pattern of a character for one term: which chart inversions it
-    needs.  None when no chart allows it at all (failed flag or forbidden
-    negative exponents)."""
+def _sign_pattern(space, neg_x: frozenset, neg_y: frozenset):
+    """Sign pattern of a character with negative x-exponents neg_x and
+    negative y-exponents neg_y: which chart inversions it needs.  None when
+    no chart allows it (negative exponents the charts never invert)."""
     if space == SPACE_MINUS:
-        if any(e < 0 for e in char.beta):
-            return None
-        if threshold is not None:
-            if sum(w * e for w, e in zip(seq.b, char.beta)) < threshold:
-                return None
-        return frozenset(i for i, e in enumerate(char.alpha) if e < 0)
+        return None if neg_y else neg_x
     if space == SPACE_PLUS:
-        if any(e < 0 for e in char.alpha):
-            return None
-        if threshold is not None:
-            if sum(w * e for w, e in zip(seq.a, char.alpha)) < threshold:
-                return None
-        return frozenset(j for j, e in enumerate(char.beta) if e < 0)
+        return None if neg_x else neg_y
     if space == SPACE_Y:
-        k1, _ = twist
-        da = sum(w * e for w, e in zip(seq.a, char.alpha))
-        if da < k1:
-            return None
-        return (
-            frozenset(i for i, e in enumerate(char.alpha) if e < 0),
-            frozenset(j for j, e in enumerate(char.beta) if e < 0),
-        )
+        return neg_x, neg_y
     raise WrongSide(f"no charts on {space!r}")
+
+
+def _passes_flag(seq, space, twist, char, threshold=None) -> bool:
+    """The condition on a character beyond its sign pattern: weighted
+    y-degree >= threshold on X- and weighted x-degree >= threshold on X+
+    when a threshold is set; on Y, da(character) >= k1 of the twist."""
+    if space == SPACE_Y:
+        weights, exps, bound = seq.a, char.alpha, twist[0]
+    elif threshold is None:
+        return True
+    elif space == SPACE_MINUS:
+        weights, exps, bound = seq.b, char.beta, threshold
+    else:
+        weights, exps, bound = seq.a, char.alpha, threshold
+    return sum(map(mul, weights, exps)) >= bound
+
+
+def _term_pattern(seq, space, twist, char, threshold=None):
+    """Sign pattern of a character for one term, or None when no chart
+    allows it at all (forbidden negative exponents or a failed flag)."""
+    pattern = _sign_pattern(
+        space,
+        frozenset(i for i, e in enumerate(char.alpha) if e < 0),
+        frozenset(j for j, e in enumerate(char.beta) if e < 0),
+    )
+    if pattern is None or not _passes_flag(seq, space, twist, char, threshold):
+        return None
+    return pattern
 
 
 @lru_cache(maxsize=None)
@@ -492,33 +556,16 @@ def _pattern_homology(space: str, m: int, n: int, pattern) -> dict:
 _HYPER_MEMO: dict = {}
 
 
-def _structure_signature(cx: MonomialComplex):
-    """Twist-independent shape of a complex: the Cech double complex at a
-    strand depends only on this and on the per-term sign patterns."""
-    sig = getattr(cx, "_signature", None)
-    if sig is None:
-        sig = (
-            cx.space,
-            cx.seq.a,
-            cx.seq.b,
-            tuple((d, len(ts)) for d, ts in sorted(cx.terms.items())),
-            tuple(
-                (d, i, j, coeff)
-                for d, tab in sorted(cx.diffs.items())
-                for (i, j), coeff in sorted(tab.items())
-            ),
-        )
-        cx._signature = sig
-    return sig
-
-
 def hypercohomology_strand(cx: MonomialComplex, char: Character) -> dict[int, int]:
     """Hypercohomology dims of the Cech double complex of cx at one character.
 
-    Columns with no per-term cohomology are dropped early (a bounded double
-    complex with exact columns is exact).  The double complex is a function
-    of the per-term sign patterns alone, so reductions are memoized by
-    (complex shape, pattern tuple).  Total degree = term degree + Cech degree.
+    When no term has cohomology at the character, the answer is {} at once:
+    a bounded double complex with exact columns is exact.  Otherwise the
+    whole double complex is built and reduced.  It is a function of the
+    per-term sign patterns alone, so reductions are memoized by (complex
+    signature, pattern tuple).  Total degree = term degree + Cech degree.
+    Integral coefficients enter the reduction as ints, the rest as
+    Fractions.
     """
     seq, space = cx.seq, cx.space
     m, n = seq.m, seq.n
@@ -532,7 +579,7 @@ def hypercohomology_strand(cx: MonomialComplex, char: Character) -> dict[int, in
                 any_alive = True
     if not any_alive:
         return {}
-    key = (_structure_signature(cx), tuple(patterns))
+    key = (cx.signature, tuple(patterns))
     cached = _HYPER_MEMO.get(key)
     if cached is not None:
         return cached
@@ -541,7 +588,7 @@ def hypercohomology_strand(cx: MonomialComplex, char: Character) -> dict[int, in
         (d, i): _pattern_subsets(space, m, n, p) for (d, i), p in patterns
     }
     cells: dict[tuple, int] = {}
-    entries: dict[tuple, Fraction] = {}
+    entries: dict[tuple, int | Fraction] = {}
     # Cech coboundaries within each term.
     for (d, i), subs in subsets.items():
         term_cells, term_entries = _cech_complex(subs, (d, i), d)
@@ -550,6 +597,8 @@ def hypercohomology_strand(cx: MonomialComplex, char: Character) -> dict[int, in
     # Term differentials, sign-twisted by the Cech degree.
     for d, tab in cx.diffs.items():
         for (i, j), coeff in tab.items():
+            if coeff.denominator == 1:
+                coeff = coeff.numerator
             for sub in subsets.get((d, i), ()):
                 if (d + 1, j, sub) not in cells:
                     raise InconsistentDegrees(
@@ -599,12 +648,23 @@ def hypercohomology_bounds(cx: MonomialComplex, box: int):
 def hypercohomology_table_bounded(
     cx: MonomialComplex, lows, highs
 ) -> dict[Character, dict[int, int]]:
-    """hypercohomology_table over explicit per-coordinate character bounds."""
+    """hypercohomology_table over explicit per-coordinate character bounds.
+
+    Characters of one chamber of the complex (see linalg.compile_chamber)
+    have the same per-term sign patterns and flags, hence the same double
+    complex.  The first character met in each chamber goes through
+    hypercohomology_strand and the rest of the chamber reuses its dims.
+    """
     if cx.reference_degree is None or not cx.terms:
         return {}
+    chamber = cx.chamber
+    by_chamber: dict[tuple[int, ...], dict[int, int]] = {}
     out: dict[Character, dict[int, int]] = {}
     for ch in characters_of_degree(cx.seq, cx.space, cx.reference_degree, low=lows, high=highs):
-        dims = hypercohomology_strand(cx, ch)
+        key = chamber(ch)
+        dims = by_chamber.get(key)
+        if dims is None:
+            dims = by_chamber[key] = hypercohomology_strand(cx, ch)
         if dims:
             out[ch] = dims
     return out

@@ -93,6 +93,46 @@ class TestExactCore:
                 want[d] = h
         assert st_.homology() == want
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_chain_reduce_with_non_unit_coefficients(self, data):
+        # Each differential draws its rows from the left kernel of the one
+        # before, with weights 2, -3 and 1/2, so the pivots are not +-1 and
+        # entries go non-integral; the rank formula is the reference.
+        from orbiflip.exact import chain_reduce_homology
+
+        coeffs = st.sampled_from([0, 0, 1, 2, -3, Fraction(1, 2)])
+        sizes = data.draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
+        mats = []
+        for p in range(len(sizes) - 1):
+            ncols, nrows = sizes[p], sizes[p + 1]
+            if p == 0:
+                rows = [[data.draw(coeffs) for _ in range(ncols)] for _ in range(nrows)]
+            else:
+                prev = mats[-1]
+                cokernel = kernel_basis([list(col) for col in zip(*prev)], ncols)
+                rows = []
+                for _ in range(nrows):
+                    weights = [data.draw(coeffs) for _ in cokernel]
+                    rows.append([sum(w * v[c] for w, v in zip(weights, cokernel))
+                                 for c in range(ncols)])
+            mats.append(rows)
+        cells = {(d, i): d for d, size in enumerate(sizes) for i in range(size)}
+        entries = {
+            ((d, c), (d + 1, r)): v
+            for d, rows in enumerate(mats)
+            for r, row in enumerate(rows)
+            for c, v in enumerate(row)
+            if v
+        }
+        ranks = [exact_rank(rows, sizes[d]) for d, rows in enumerate(mats)] + [0]
+        want = {}
+        for d, size in enumerate(sizes):
+            h = size - ranks[d] - (ranks[d - 1] if d else 0)
+            if h:
+                want[d] = h
+        assert chain_reduce_homology(cells, entries) == want
+
 
 def _strand_source(s, k, kind):
     """A complex whose strands feed the engine comparison: a threshold-ideal

@@ -29,7 +29,13 @@ from orbiflip import (
     total_cohomology,
     wps_cohomology_totals,
 )
-from orbiflip.sheaves import character_cohomology
+from orbiflip.functors import pull_complex
+from orbiflip.sheaves import (
+    character_cohomology,
+    hypercohomology_bounds,
+    hypercohomology_strand,
+    hypercohomology_table_bounded,
+)
 
 
 def seq(text: str) -> WeightSequence:
@@ -179,9 +185,22 @@ class TestCechOracle:
     def test_box_too_large_guard(self):
         from orbiflip import BoxTooLarge
 
-        with pytest.raises(BoxTooLarge):
-            # 2001^2 > 4M: refused before the first character is formed.
-            cohomology_table(FLOP, "Y", (0, 0), 1000)
+        # 2001^2 > 4M: refused before the first character is formed.  And
+        # 45^4 > 4M free points in the box, though each sign orthant alone
+        # (at most 23^4) is under the limit.
+        for box in (1000, 22):
+            with pytest.raises(BoxTooLarge):
+                cohomology_table(FLOP, "Y", (0, 0), box)
+
+    def test_large_cover_refused_only_when_a_character_needs_it(self):
+        from orbiflip import Unsupported
+
+        # 16 charts on Y: no character of degree difference 50 fits the box,
+        # so nothing is refused; at degree difference 3 one does.
+        s = seq("1,1,1,1;1,1,1,1")
+        assert cohomology_table(s, "Y", (50, 0), 1) == {}
+        with pytest.raises(Unsupported):
+            cohomology_table(s, "Y", (3, 0), 1)
 
 
 @st.composite
@@ -228,6 +247,62 @@ class TestSharedCechPath:
             elif dims:
                 brute[ch] = dims
         assert cohomology_table(s, space, twist, box, threshold=threshold) == brute
+
+
+_HYPER_SEQS = ("1,2;1,1,1", "1,1;1,1", "1,3;1,1", "1,1;2,1")
+
+
+@st.composite
+def _hyper_cases(draw):
+    """A Koszul or Euler cotangent complex on a side, as it is, pulled back to
+    Y and tensored, or dualized, with bounds that cross the offset cuts."""
+    s = seq(draw(st.sampled_from(_HYPER_SEQS)))
+    d = draw(st.integers(-6, 3))
+    if draw(st.booleans()):
+        cx = exceptional_koszul(s, draw(st.sampled_from(["plus", "minus"])), d)
+    else:
+        cx = euler_cotangent_complex(s, "plus" if set(s.b) == {1} else "minus", d)
+    image = draw(st.sampled_from(["side", "Y", "dual", "Y dual"]))
+    twist = st.integers(-3, 3)
+    if image.startswith("Y"):
+        cx = pull_complex(s, cx).tensor((draw(twist), draw(twist)))
+    if image.endswith("dual"):
+        cx = cx.dual_into((draw(twist), draw(twist)) if cx.space == "Y" else draw(twist))
+    # Per coordinate, [near_lo, near_hi] spans the offsets and [far_lo,
+    # far_hi] is the padded region hypercohomology_table sweeps with box 2.
+    # The low bound falls below the top offset and the high bound above the
+    # bottom one; the full padded region is the simplest draw.
+    near = hypercohomology_bounds(cx, 0)
+    far = hypercohomology_bounds(cx, 2)
+    flat = lambda pair: pair[0] + pair[1]
+    lows, highs = [], []
+    for near_lo, near_hi, far_lo, far_hi in zip(*map(flat, near + far)):
+        low = draw(st.integers(far_lo, near_hi))
+        lows.append(low)
+        highs.append(far_hi - draw(st.integers(0, far_hi - max(low, near_lo))))
+    return cx, (tuple(lows[: s.m]), tuple(lows[s.m :])), (tuple(highs[: s.m]), tuple(highs[s.m :]))
+
+
+class TestChamberSweep:
+    @settings(max_examples=80, deadline=None)
+    @given(_hyper_cases())
+    def test_table_matches_per_character_strands(self, case):
+        # The table evaluates one character per chamber; the reference runs
+        # hypercohomology_strand on every character of the box that has the
+        # complex's reference degree.
+        cx, lows, highs = case
+        s = cx.seq
+        ranges = [range(lo, hi + 1) for lo, hi in zip(lows[0] + lows[1], highs[0] + highs[1])]
+        brute = {}
+        for exps in itertools.product(*ranges):
+            ch = Character(exps[: s.m], exps[s.m :])
+            d = degree(s, cx.space, ch)
+            if (d[0] - d[1] if cx.space == "Y" else d) != cx.reference_degree:
+                continue
+            dims = hypercohomology_strand(cx, ch)
+            if dims:
+                brute[ch] = dims
+        assert hypercohomology_table_bounded(cx, lows, highs) == brute
 
 
 class TestExceptionalKoszul:
