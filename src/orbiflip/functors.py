@@ -37,10 +37,12 @@ from .linalg import (
     MonomialComplex,
     Term,
     characters_of_degree,
+    check_box,
+    count_presence,
     single_twist_complex,
     strand,
 )
-from .resolution import build_resolution
+from .resolution import build_resolution, check_threshold
 from .sheaves import (
     euler_cotangent_complex,
     hypercohomology_table,
@@ -248,6 +250,27 @@ def _roundtrip_caps(seq: WeightSequence, k: int):
     return (0, (alpha, beta))
 
 
+def _plan_roundtrip(seq: WeightSequence, k: int, pair: str):
+    """The refusals of a round trip that need no resolution, in the order
+    roundtrip_check meets them: the preconditions, k >= 0, the pair, a
+    threshold ideal image of O(k) above the resolution cap, and a sweep box
+    above the enumeration limit.  Returns the first functor's image of O(k)
+    and the sweep box (low, caps).  The checks on the second functor's image
+    and its Ebar powers need the resolved middle complex and run with the
+    round trip."""
+    _require_roundtrip_preconditions(seq)
+    if k < 0:
+        raise Unsupported("round trips are stated for k >= 0")
+    if pair not in _PAIRS:
+        raise Unsupported(f"unknown round-trip pair {pair!r}")
+    image = apply(seq, _PAIRS[pair][0], k)
+    if isinstance(image, IdealImage):
+        check_threshold(image.index)
+    low, caps = _roundtrip_caps(seq, k)
+    check_box(seq, low=low, high=caps)
+    return image, low, caps
+
+
 def roundtrip_check(seq: WeightSequence, k: int, pair: str) -> VerificationReport:
     """Check that a composite round trip fixes O(k) on the minus side.
 
@@ -255,21 +278,20 @@ def roundtrip_check(seq: WeightSequence, k: int, pair: str) -> VerificationRepor
     against the single twist O(k) strand by strand at every character of
     degree k with nonnegative exponents in a box whose degree scale exceeds
     k + sum(a) + sum(b): homology must be one-dimensional in degree 0 exactly
-    at the section characters.  Characters with a negative exponent are
-    checked all at once: when every term offset of the composite is >= 0,
-    every strand there is empty, as O(k)'s is, so a negative offset is
+    at the section characters.  The characters are not visited one by one:
+    count_presence counts them per joint presence cell of the composite and
+    O(k), one strand is reduced per pattern of the composite, and each
+    cell's count goes to strands_checked (and to the mismatches when its
+    homology differs from O(k)'s).  Only the reported first mismatches and
+    matched samples come from a scan in enumeration order, which stops once
+    the counts say they are all found.  Characters with a negative exponent
+    are checked all at once: when every term offset of the composite is
+    >= 0, every strand there is empty, as O(k)'s is, so a negative offset is
     reported as a mismatch and fails the verdict.
     """
-    _require_roundtrip_preconditions(seq)
-    if k < 0:
-        raise Unsupported("round trips are stated for k >= 0")
-    if pair not in _PAIRS:
-        raise Unsupported(f"unknown round-trip pair {pair!r}")
-    first_name, second_name = _PAIRS[pair]
-
-    image = apply(seq, first_name, k)
+    image, low, caps = _plan_roundtrip(seq, k, pair)
     mid = as_complex(seq, image)
-    out, powers = _apply_with_powers(seq, second_name, mid)
+    out, powers = _apply_with_powers(seq, _PAIRS[pair][1], mid)
     if isinstance(out, IdealImage):
         out = as_complex(seq, out)
     top = seq.sum_b - 1
@@ -278,23 +300,22 @@ def roundtrip_check(seq: WeightSequence, k: int, pair: str) -> VerificationRepor
             f"intermediate Ebar power outside [0, {top}]: {sorted(set(powers))}"
         )
 
-    low, caps = _roundtrip_caps(seq, k)
-    checked = 0
     mismatches = [
         {"degree": d, "negative_offset": [list(t.offset.alpha), list(t.offset.beta)]}
         for d, ts in sorted(out.terms.items())
         for t in ts
         if not t.offset.is_nonnegative()
     ]
-    sample = []
-    # Strand homology is a function of the presence pattern alone, so each
-    # distinct pattern builds and checks its strand once.
-    presence = out.presence
-    target = single_twist_complex(seq, SPACE_MINUS, k).presence
+    # Strand homology is a function of the composite's presence pattern
+    # alone, so each pattern builds and checks its strand once, from the
+    # first character of its first cell; a cell's characters are counted.
+    target = single_twist_complex(seq, SPACE_MINUS, k)
+    cells = count_presence((out, target), k, low=low, high=caps)
     memo: dict = {}
-    for ch in characters_of_degree(seq, SPACE_MINUS, k, low=low, high=caps):
-        expected = {0: 1} if target(ch)[0] else {}
-        pattern = presence(ch)
+    outcome = {}
+    checked = wrong = matched = 0
+    for key, (count, ch) in cells.items():
+        pattern, present = key
         hom = memo.get(pattern)
         if hom is None:
             st = strand(out, ch)
@@ -302,16 +323,35 @@ def roundtrip_check(seq: WeightSequence, k: int, pair: str) -> VerificationRepor
             if sum((-1) ** d * h for d, h in hom.items()) != st.euler_characteristic():
                 raise InconsistentDegrees("strand Euler characteristic broke")
             memo[pattern] = hom
-        checked += 1
+        expected = {0: 1} if present else {}
+        outcome[key] = hom, expected
+        checked += count
         if hom != expected:
-            mismatches.append(
-                {"character": [list(ch.alpha), list(ch.beta)],
-                 "got": {str(d): h for d, h in hom.items()},
-                 "want": {str(d): h for d, h in expected.items()}}
-            )
-        elif len(sample) < 3 and hom:
-            sample.append([list(ch.alpha), list(ch.beta)])
-    verdict = not mismatches and checked > 0
+            wrong += count
+        elif hom:
+            matched += count
+    mismatch_count = len(mismatches) + wrong
+    # The report lists the first mismatches and matches in enumeration
+    # order: scan until the quotas that the counts allow are met.
+    quota = len(mismatches) + min(max(10 - len(mismatches), 0), wrong)
+    want_matched = min(3, matched)
+    sample = []
+    if len(mismatches) < quota or want_matched:
+        rules = (out.presence_tables, target.presence_tables)
+        for ch in characters_of_degree(seq, SPACE_MINUS, k, low=low, high=caps):
+            hom, expected = outcome[tuple(rule.mask(ch) for rule in rules)]
+            if hom != expected:
+                if len(mismatches) < quota:
+                    mismatches.append(
+                        {"character": [list(ch.alpha), list(ch.beta)],
+                         "got": {str(d): h for d, h in hom.items()},
+                         "want": {str(d): h for d, h in expected.items()}}
+                    )
+            elif hom and len(sample) < want_matched:
+                sample.append([list(ch.alpha), list(ch.beta)])
+            if len(mismatches) == quota and len(sample) == want_matched:
+                break
+    verdict = not mismatch_count and checked > 0
     return VerificationReport(
         title=f"roundtrip {pair}",
         inputs={"seq": str(seq), "k": k, "pair": pair},
@@ -321,7 +361,7 @@ def roundtrip_check(seq: WeightSequence, k: int, pair: str) -> VerificationRepor
         details={
             "strands_checked": checked,
             "mismatches": mismatches[:10],
-            "mismatch_count": len(mismatches),
+            "mismatch_count": mismatch_count,
             "ebar_powers": sorted(set(powers)),
             "matched_sample": sample,
         },
@@ -413,7 +453,10 @@ def equivalence_suite(seq: WeightSequence, k_range) -> VerificationReport:
     k >= sum(b) - sum(a), where their pushforwards stay in closed form (for a
     flop that is the whole range).  For flops the mirrored round trips on the
     plus side run through the swapped sequence.  A range with no k >= 0 would
-    check nothing and raises Unsupported.
+    check nothing and raises Unsupported.  Every job is planned
+    (_plan_roundtrip) before the first round trip runs, so a threshold above
+    the resolution cap or a box above the enumeration limit anywhere in the
+    range is refused, with the first such job's error, before any sweep.
     """
     _require_roundtrip_preconditions(seq)
     ks = sorted(set(int(k) for k in k_range))
@@ -440,6 +483,8 @@ def equivalence_suite(seq: WeightSequence, k_range) -> VerificationReport:
                 continue
             jobs.append((swapped, k, "GF"))
             jobs.append((swapped, k, "HF"))
+    for job in jobs:
+        _plan_roundtrip(*job)
     children = [roundtrip_check(s, k, pair) for s, k, pair in jobs]
     verdict = all(c.verdict for c in children)
     return VerificationReport(

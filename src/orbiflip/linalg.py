@@ -21,7 +21,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
+from operator import and_, mul
 from typing import Callable, Iterator, NamedTuple
 
 from .errors import BoxTooLarge, InconsistentDegrees, Unsupported
@@ -327,6 +327,11 @@ class MonomialComplex:
                     raise InconsistentDegrees(f"d o d != 0 at {d}, entry {key}")
 
     @cached_property
+    def presence_tables(self) -> "PresenceTables":
+        """The compiled strand membership rule (see compile_presence_tables)."""
+        return compile_presence_tables(self)
+
+    @cached_property
     def presence(self) -> Callable[[Character], tuple[tuple[int, ...], ...]]:
         """The compiled strand membership test (see compile_presence)."""
         return compile_presence(self)
@@ -490,15 +495,15 @@ def _term_cuts(cx: MonomialComplex):
     on coordinate c in increasing order; flats[bit] the values of slot bit.
     """
     seq = cx.seq
-    slots = [(d, i, t) for d in range(min(cx.terms), max(cx.terms) + 1)
-             for i, t in enumerate(cx.terms.get(d, ()))]
+    slots = [(d, i, t) for d in sorted(cx.terms) for i, t in enumerate(cx.terms[d])]
     flats = [t.offset.alpha + t.offset.beta for _, _, t in slots]
     if cx.space == SPACE_Y:
         flats = [
             off + (t.twist[0] + degree(seq, SPACE_Y, t.offset)[0],)
             for off, (_, _, t) in zip(flats, slots)
         ]
-    cuts = [sorted({off[c] for off in flats}) for c in range(len(flats[0]))]
+    size = seq.m + seq.n + (cx.space == SPACE_Y)
+    cuts = [sorted({off[c] for off in flats}) for c in range(size)]
     return slots, flats, cuts
 
 
@@ -527,27 +532,45 @@ def compile_chamber(cx: MonomialComplex) -> Callable[[Character], tuple[int, ...
     return chamber
 
 
-def compile_presence(cx: MonomialComplex) -> Callable[[Character], tuple[tuple[int, ...], ...]]:
-    """Compile the strand membership rule of a complex, once.
+class PresenceTables(NamedTuple):
+    """The compiled strand membership rule of a complex (see
+    compile_presence_tables).
 
-    The returned function maps a character to the `bases` of its strand: per
-    degree from min to max of the complex, the indices of the terms whose
-    candidate monomial character - offset is a section of the term's twist.
-    All terms share the reference degree, so on minus/plus a term is present
-    iff deg(character) is the reference degree and character >= offset
+    coords[c] pairs the cuts of _term_cuts on coordinate c with masks, where
+    masks[j] is the bitmask of the term slots whose value is among the j
+    smallest cuts: the terms a value in interval j satisfies on c.  mask maps
+    a character to the bitmask of the term slots present in its strand.
+    groups lists per degree, from the lowest up, the (bit, index) pairs of
+    its terms.
+    """
+
+    coords: tuple[tuple[list[int], list[int]], ...]
+    mask: Callable[[Character], int]
+    groups: tuple[tuple[tuple[int, int], ...], ...]
+
+    def bases(self, mask: int) -> tuple[tuple[int, ...], ...]:
+        """The strand bases of a mask: per degree, the indices of its terms."""
+        return tuple(tuple(i for bit, i in group if mask & bit) for group in self.groups)
+
+
+def compile_presence_tables(cx: MonomialComplex) -> PresenceTables:
+    """Compile the strand membership rule of a complex, once (cached as
+    MonomialComplex.presence_tables).
+
+    A term is present in the strand at a character when its candidate
+    monomial character - offset is a section of the term's twist.  All terms
+    share the reference degree, so on minus/plus a term is present iff
+    deg(character) is the reference degree and character >= offset
     componentwise; on Y the degree test is da - db == reference degree and
     each term adds the threshold da(character) >= k1 + da(offset); on module
     the only condition is character >= offset.
 
     Each coordinate cuts the line at the values of _term_cuts; the interval a
     character falls in selects, by table lookup, the bitmask of terms it
-    satisfies on that coordinate.  The pattern is the AND of the masks,
-    decoded into index tuples once per distinct mask.
+    satisfies on that coordinate.  The strand's terms are the AND of the
+    masks.  compile_presence and count_presence both read these tables.
     """
-    if not cx.terms:
-        return lambda character: ()
     seq, space = cx.seq, cx.space
-    lo, hi = min(cx.terms), max(cx.terms)
     slots, flats, cuts = _term_cuts(cx)
 
     def coordinate(c):
@@ -559,11 +582,13 @@ def compile_presence(cx: MonomialComplex) -> Callable[[Character], tuple[tuple[i
             masks[j] |= masks[j - 1]
         return cuts[c], masks
 
-    coords = [coordinate(c) for c in range(len(flats[0]))]
-    groups = [[(1 << bit, i) for bit, (d_, i, _) in enumerate(slots) if d_ == d]
-              for d in range(lo, hi + 1)]
-    decoded: dict[int, tuple[tuple[int, ...], ...]] = {}
-    absent = decoded[0] = tuple(() for _ in groups)
+    coords = tuple(coordinate(c) for c in range(len(cuts)))
+    groups = ()
+    if cx.terms:
+        groups = tuple(
+            tuple((1 << bit, i) for bit, (d_, i, _) in enumerate(slots) if d_ == d)
+            for d in range(min(cx.terms), max(cx.terms) + 1)
+        )
     ref = cx.reference_degree
     on_y = space == SPACE_Y
     # Degree weights: deg on minus/plus, da - db on Y, no equation on module.
@@ -572,23 +597,119 @@ def compile_presence(cx: MonomialComplex) -> Callable[[Character], tuple[tuple[i
         sign = -1 if space == SPACE_PLUS else 1
         weights = tuple(sign * w for w in seq.a) + tuple(-sign * w for w in seq.b)
 
-    def presence(character):
+    def mask(character):
         flat = character.alpha + character.beta
         if weights is not None and sum(map(mul, weights, flat)) != ref:
-            return absent
+            return 0
         if on_y:
             flat += (sum(map(mul, seq.a, character.alpha)),)
-        mask = -1
-        for (cuts, masks), e in zip(coords, flat):
-            mask &= masks[bisect_right(cuts, e)]
-        bases = decoded.get(mask)
+        found = -1
+        for (line, masks), e in zip(coords, flat):
+            found &= masks[bisect_right(line, e)]
+        return found
+
+    return PresenceTables(coords, mask, groups)
+
+
+def compile_presence(cx: MonomialComplex) -> Callable[[Character], tuple[tuple[int, ...], ...]]:
+    """The strand membership test of a complex: a character to the `bases` of
+    its strand, per degree from min to max of the complex.
+
+    It reads the complex's compiled tables (compile_presence_tables) and
+    decodes each distinct mask into index tuples once.
+    """
+    tables = cx.presence_tables
+    mask, decode = tables.mask, tables.bases
+    decoded: dict[int, tuple[tuple[int, ...], ...]] = {}
+
+    def presence(character):
+        m = mask(character)
+        bases = decoded.get(m)
         if bases is None:
-            bases = decoded[mask] = tuple(
-                tuple(i for bit, i in group if mask & bit) for group in groups
-            )
+            bases = decoded[m] = decode(m)
         return bases
 
     return presence
+
+
+def count_presence(
+    complexes, value, *, low, high
+) -> dict[tuple[int, ...], tuple[int, Character]]:
+    """Count the characters of characters_of_degree(seq, "minus", value,
+    low=low, high=high) per joint presence pattern of complexes on the minus
+    side, without visiting each.
+
+    Returns {(mask per complex): (count, first character in enumeration
+    order)}, the masks as PresenceTables.mask gives them.  Presence is
+    constant on a product of per-coordinate intervals between the cuts, so a
+    DP runs over the coordinates of _enumeration_plan: the free ones in
+    order, the state being (partial degree, mask per complex), and the
+    solved one last from the degree equation.  Partial degrees the remaining
+    coordinates cannot bring to the value are dropped.  Each cell's key is
+    read off its representative with PresenceTables.mask.  Boxes are refused
+    exactly as characters_of_degree refuses them.  Complexes on any other
+    side are refused.
+    """
+    if any(cx.space != SPACE_MINUS for cx in complexes):
+        raise Unsupported("presence cells are counted on the minus side only")
+    seq = complexes[0].seq
+    if seq.m + seq.n == 0:
+        return {}
+    weights, lows, highs, solve_at, free = _enumeration_plan(seq, low, high, ENUMERATION_LIMIT)
+    tables = [cx.presence_tables for cx in complexes]
+
+    def runs(c):
+        # Maximal subranges of coordinate c on which every mask is constant.
+        lo, hi = lows[c], highs[c]
+        starts = sorted({lo} | {t for tab in tables for t in tab.coords[c][0] if lo < t <= hi})
+        ends = [t - 1 for t in starts[1:]] + [hi]
+        return [
+            (first, last, tuple(masks[bisect_right(cuts, first)]
+                                for cuts, masks in (tab.coords[c] for tab in tables)))
+            for first, last in zip(starts, ends)
+        ]
+
+    # reach[j]: least and greatest sum of weight * exponent over the
+    # coordinates from the j-th free one on, the solved one included.
+    order = free + [solve_at]
+    reach = [(0, 0)] * (len(order) + 1)
+    for j in range(len(order) - 1, -1, -1):
+        c = order[j]
+        ends = (weights[c] * lows[c], weights[c] * highs[c])
+        reach[j] = (reach[j + 1][0] + min(ends), reach[j + 1][1] + max(ends))
+
+    states = {(0, (-1,) * len(tables)): (1, ())}
+    for j, c in enumerate(free):
+        w, cut_runs = weights[c], runs(c)
+        least, most = value - reach[j + 1][1], value - reach[j + 1][0]
+        grown: dict = {}
+        for (partial, masks), (count, rep) in states.items():
+            for first, last, cut in cut_runs:
+                joint = tuple(map(and_, masks, cut))
+                for e in range(first, last + 1):
+                    total = partial + w * e
+                    if total < least or total > most:
+                        continue
+                    key = (total, joint)
+                    hit = grown.get(key)
+                    grown[key] = (count, rep + (e,)) if hit is None else (hit[0] + count, hit[1])
+        states = grown
+
+    cells: dict[tuple[int, ...], tuple[int, Character]] = {}
+    w_solve, lo_solve, hi_solve = weights[solve_at], lows[solve_at], highs[solve_at]
+    m, full = seq.m, [0] * len(weights)
+    for (partial, _), (count, rep) in states.items():
+        rem = value - partial
+        if rem % w_solve or not lo_solve <= rem // w_solve <= hi_solve:
+            continue
+        for c, e in zip(free, rep):
+            full[c] = e
+        full[solve_at] = rem // w_solve
+        character = Character(tuple(full[:m]), tuple(full[m:]))
+        key = tuple(tab.mask(character) for tab in tables)
+        hit = cells.get(key)
+        cells[key] = (count, character) if hit is None else (hit[0] + count, hit[1])
+    return cells
 
 
 def strand(cx: MonomialComplex, character: Character) -> StrandComplex:

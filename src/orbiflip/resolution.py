@@ -149,7 +149,8 @@ class ResolutionDegrees:
 THRESHOLD_CAP = 64
 
 
-def _check_threshold(k: int, cap: int | None = None):
+def check_threshold(k: int, cap: int | None = None):
+    """Raise Unsupported for a threshold above the cap (default THRESHOLD_CAP)."""
     limit = THRESHOLD_CAP if cap is None else cap
     if k > limit:
         raise Unsupported(
@@ -172,7 +173,7 @@ def minimal_resolution_degrees(weights, k: int, cap: int | None = None) -> Resol
     weights = tuple(weights)
     if not weights:
         raise Unsupported("resolutions need at least one variable")
-    _check_threshold(k, cap)
+    check_threshold(k, cap)
     k = max(k, 0)
     degrees = {
         l: tuple(
@@ -302,7 +303,7 @@ def build_resolution(
         raise Unsupported(f"side {side!r} of {seq} has no variables")
     weights = tuple(weights)
     k = max(k, 0)
-    _check_threshold(k)
+    check_threshold(k)
     positions, raw_diffs = _certified_module_resolution(weights, k)
     return _assemble(seq, side, positions, raw_diffs, extra_twist)
 

@@ -121,6 +121,17 @@ class TestVerify:
         assert "k >= 0" in err
         assert "round trips" not in out
 
+    def test_roundtrip_k_range_above_threshold_cap_refused_up_front(self, capsys):
+        # k = 65 exceeds the resolution cap; the refusal comes before the
+        # round trips for k = 0..64 run, so the command returns at once.
+        code, out, err = run(
+            capsys, "verify", "--seq", "1,1;1,1", "--suite", "roundtrip",
+            "--k-max", "200", "--json",
+        )
+        assert code == 2
+        assert "threshold 65 above the strand-size cap 64" in err
+        assert out == ""
+
     def test_serre_suite_json(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--seq", "1,2;1,1,1", "--suite", "serre", "--json"

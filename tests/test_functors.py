@@ -15,6 +15,7 @@ from orbiflip import (
     example51_verify,
     roundtrip_check,
 )
+from orbiflip.linalg import characters_of_degree
 from orbiflip.functors import (
     FunctorSpec,
     pull_complex,
@@ -162,11 +163,109 @@ class TestRoundtrips:
         assert rep.details["mismatches"]
         assert all("negative_offset" in m for m in rep.details["mismatches"])
 
+    @pytest.mark.parametrize("shifted", [False, True])
+    @pytest.mark.parametrize("which", [0, 1, 3, -1])
+    def test_mismatch_report_matches_per_character_loop(self, monkeypatch, which, shifted):
+        # One presence pattern of the composite is given a wrong homology;
+        # the counted report must equal the per-character loop's report.
+        import orbiflip.functors as functors
+        from orbiflip import Character
+
+        if shifted:  # also put negative offsets ahead of the mismatches
+            original_apply = functors._apply_with_powers
+            shift = Character((-1, 0), (0, -1, 0))
+
+            def translated(s, functor, u):
+                out, powers = original_apply(s, functor, u)
+                if functor == "G":
+                    out = as_complex(s, out).translate(shift)
+                return out, powers
+
+            monkeypatch.setattr(functors, "_apply_with_powers", translated)
+        k = 3
+        out = _roundtrip_composite(FLOP, k, "GF")
+        low, caps = functors._roundtrip_caps(FLOP, k)
+        patterns = list(dict.fromkeys(
+            out.presence(ch)
+            for ch in characters_of_degree(FLOP, "minus", k, low=low, high=caps)
+        ))
+        assert len(patterns) >= 5
+        broken = patterns[which]
+        original_strand = functors.strand
+
+        class Wrong:
+            def homology(self):
+                return {0: 2}
+
+            def euler_characteristic(self):
+                return 2
+
+        def breaking(cx, ch):
+            return Wrong() if cx.presence(ch) == broken else original_strand(cx, ch)
+
+        monkeypatch.setattr(functors, "strand", breaking)
+        got = roundtrip_check(FLOP, k, "GF").details
+        want = _per_character_details(FLOP, k, "GF")
+        for key in ("strands_checked", "mismatches", "mismatch_count", "matched_sample"):
+            assert got[key] == want[key], key
+        assert len(got["mismatches"]) == min(10, got["mismatch_count"])
+        assert "character" in got["mismatches"][-1]
+        assert ("negative_offset" in got["mismatches"][0]) == shifted
+
     def test_report_serializes(self):
         rep = roundtrip_check(ATIYAH, 1, "HF")
         data = rep.to_json_dict()
         assert data["schema"] == "orbiflip/1"
         assert data["verdict"] is True
+
+
+def _roundtrip_composite(s, k, pair):
+    import orbiflip.functors as functors
+
+    first, second = functors._PAIRS[pair]
+    mid = as_complex(s, apply(s, first, k))
+    return as_complex(s, functors._apply_with_powers(s, second, mid)[0])
+
+
+def _per_character_details(s, k, pair):
+    """The reference round-trip sweep: every character visited in
+    enumeration order, one strand per presence pattern."""
+    import orbiflip.functors as functors
+    from orbiflip import single_twist_complex
+
+    out = _roundtrip_composite(s, k, pair)
+    low, caps = functors._roundtrip_caps(s, k)
+    checked = 0
+    mismatches = [
+        {"degree": d, "negative_offset": [list(t.offset.alpha), list(t.offset.beta)]}
+        for d, ts in sorted(out.terms.items())
+        for t in ts
+        if not t.offset.is_nonnegative()
+    ]
+    sample = []
+    target = single_twist_complex(s, "minus", k).presence
+    memo = {}
+    for ch in characters_of_degree(s, "minus", k, low=low, high=caps):
+        expected = {0: 1} if target(ch)[0] else {}
+        pattern = out.presence(ch)
+        if pattern not in memo:
+            memo[pattern] = functors.strand(out, ch).homology()
+        hom = memo[pattern]
+        checked += 1
+        if hom != expected:
+            mismatches.append(
+                {"character": [list(ch.alpha), list(ch.beta)],
+                 "got": {str(d): h for d, h in hom.items()},
+                 "want": {str(d): h for d, h in expected.items()}}
+            )
+        elif len(sample) < 3 and hom:
+            sample.append([list(ch.alpha), list(ch.beta)])
+    return {
+        "strands_checked": checked,
+        "mismatches": mismatches[:10],
+        "mismatch_count": len(mismatches),
+        "matched_sample": sample,
+    }
 
 
 class TestEquivalenceSuite:
@@ -182,6 +281,56 @@ class TestEquivalenceSuite:
         pairs = [c.inputs["pair"] for c in rep.children]
         assert pairs.count("GF") == 3
         assert pairs.count("G'F'") == 2  # k >= sum(b) - sum(a) = 1
+
+    def test_limits_refused_before_any_round_trip(self, monkeypatch):
+        # The first job over a limit raises what it would raise when run,
+        # but before the jobs ahead of it sweep anything.
+        import orbiflip.functors as functors
+        from orbiflip import BoxTooLarge
+
+        calls = []
+        original = functors.roundtrip_check
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(functors, "roundtrip_check", counting)
+        with pytest.raises(Unsupported, match="threshold 65 above the strand-size cap 64"):
+            equivalence_suite(ATIYAH, range(0, 200))
+        with pytest.raises(BoxTooLarge, match="character box of size > 4000000"):
+            equivalence_suite(seq("1,1,1;1,1,1"), [0, 1, 30])
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "text, ks, cap",
+        [("1,1;1,1", range(0, 8), 4), ("1,2;1,1,1", range(0, 8), 5),
+         ("1,2,3;1,5", range(0, 8), 6), ("1,1,1;1,1,1", [0, 1, 30], 64)],
+    )
+    def test_refusal_is_the_first_error_of_the_jobs_in_order(self, monkeypatch, text, ks, cap):
+        # Running the planned jobs one by one in order must meet no error
+        # before the refused job, and there the suite's error.
+        import orbiflip.functors as functors
+        import orbiflip.resolution as resolution
+        from orbiflip import OrbiflipError
+
+        monkeypatch.setattr(resolution, "THRESHOLD_CAP", cap)
+        planned = []
+        original = functors._plan_roundtrip
+
+        def recording(*job):
+            planned.append(job)
+            return original(*job)
+
+        monkeypatch.setattr(functors, "_plan_roundtrip", recording)
+        with pytest.raises(OrbiflipError) as refused:
+            equivalence_suite(seq(text), ks)
+        *ahead, last = list(planned)
+        for job in ahead:
+            roundtrip_check(*job)
+        with pytest.raises(type(refused.value)) as met:
+            roundtrip_check(*last)
+        assert str(met.value) == str(refused.value)
 
     def test_range_without_nonnegative_k_raises(self):
         # Zero round trips would pass vacuously.

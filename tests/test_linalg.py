@@ -383,6 +383,108 @@ class TestCompiledPresence:
         assert compile_presence(cx)(Character((1, 0), ())) == ()
 
 
+def _roundtrip_complexes(s, k, pair, image, shift, twist):
+    """A round-trip composite (or its translate or tensor image) and O(k),
+    both on the minus side."""
+    from orbiflip import apply, as_complex, single_twist_complex
+    from orbiflip.functors import _PAIRS, _apply_with_powers
+
+    first, second = _PAIRS[pair]
+    mid = as_complex(s, apply(s, first, k))
+    out = as_complex(s, _apply_with_powers(s, second, mid)[0])
+    if image == "translate":
+        out = out.translate(Character(tuple(shift[: s.m]), tuple(shift[s.m :])))
+    elif image == "tensor":
+        out = out.tensor(twist)
+    return out, single_twist_complex(s, "minus", k)
+
+
+class TestPresenceCounts:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(["1,1;1,1", "1,2;1,1,1", "1,2,3;1,5", "1,1;2,1"]),
+        st.integers(0, 2),
+        st.sampled_from(["GF", "HF", "G'F'", "H'F'"]),
+        st.sampled_from(["composite", "translate", "tensor"]),
+        st.integers(-2, 2),
+        st.data(),
+    )
+    def test_matches_per_character_count(self, text, k, pair, image, off, data):
+        # Cells against a Counter over every character of the box, keyed by
+        # the per-term section rule; each representative is the first
+        # character of its cell in enumeration order.
+        from collections import Counter
+
+        from hypothesis import assume
+
+        from orbiflip import OrbiflipError
+        from orbiflip.linalg import count_presence
+
+        s = seq(text)
+        size = s.m + s.n
+        shift = data.draw(st.lists(st.integers(-1, 1), min_size=size, max_size=size))
+        try:
+            complexes = _roundtrip_complexes(s, k, pair, image, shift, data.draw(st.integers(-2, 2)))
+        except OrbiflipError:
+            assume(False)
+        lows = data.draw(st.lists(st.integers(-2, 1), min_size=size, max_size=size))
+        spans = data.draw(st.lists(st.integers(-1, 6), min_size=size, max_size=size))
+        box = {
+            "low": (tuple(lows[: s.m]), tuple(lows[s.m :])),
+            "high": (
+                tuple(lo + sp for lo, sp in zip(lows[: s.m], spans[: s.m])),
+                tuple(lo + sp for lo, sp in zip(lows[s.m :], spans[s.m :])),
+            ),
+        }
+        value = k + off
+        pattern = lambda ch: tuple(_per_term_bases(cx, ch) for cx in complexes)
+        chars = list(characters_of_degree(s, "minus", value, **box))
+        firsts: dict = {}
+        for ch in chars:
+            firsts.setdefault(pattern(ch), ch)
+
+        cells = count_presence(complexes, value, **box)
+        decoded = {
+            tuple(cx.presence_tables.bases(m) for cx, m in zip(complexes, key)): cell
+            for key, cell in cells.items()
+        }
+        assert len(decoded) == len(cells)
+        assert {p: count for p, (count, _) in decoded.items()} == Counter(map(pattern, chars))
+        assert list(decoded.items()) == [(p, (decoded[p][0], ch)) for p, ch in firsts.items()]
+        for key, (_, ch) in cells.items():
+            assert tuple(cx.presence_tables.mask(ch) for cx in complexes) == key
+
+    def test_box_too_large_refused_like_the_enumeration(self):
+        from orbiflip import BoxTooLarge, single_twist_complex
+        from orbiflip.linalg import count_presence
+
+        s = seq("1,1;1,1")
+        cx = single_twist_complex(s, "minus", 0)
+        for high in (158, 2000):
+            with pytest.raises(BoxTooLarge):
+                next(characters_of_degree(s, "minus", 0, low=0, high=high))
+            with pytest.raises(BoxTooLarge, match="character box of size > 4000000"):
+                count_presence((cx,), 0, low=0, high=high)
+        # 158^3 free points, just under the limit: the pairs (alpha, beta) of
+        # equal sum t, counted per t.
+        pairs = lambda t: min(t, 314 - t) + 1
+        assert count_presence((cx,), 0, low=0, high=157) == {
+            (1,): (sum(pairs(t) ** 2 for t in range(315)), Character((0, 0), (0, 0)))
+        }
+
+    def test_empty_box_and_other_sides_refused(self):
+        from orbiflip import Unsupported, single_twist_complex
+        from orbiflip.linalg import count_presence
+
+        s = seq("1,2;1,1,1")
+        cx = single_twist_complex(s, "minus", 1)
+        assert count_presence((cx,), 1, low=1, high=0) == {}
+        for space, twist in (("plus", 1), ("module", 1), ("Y", (1, 0))):
+            other = single_twist_complex(s, space, twist)
+            with pytest.raises(Unsupported, match="minus side only"):
+                count_presence((cx, other), 1, low=0, high=2)
+
+
 def _brute_characters(s, space, value, lows, highs):
     """itertools.product over the box in the enumerator's order (the solved
     coordinate, the last one of largest weight, varies fastest), filtered by
