@@ -53,7 +53,6 @@ from .linalg import (
     MonomialComplex,
     StrandComplex,
     Term,
-    compile_presence,
     degree,
     is_section,
     section_basis,

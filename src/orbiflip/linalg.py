@@ -13,6 +13,11 @@ section of the term's twist on the ambient space.  Differential entries
 store their rational coefficients alone: the monomial of an entry is the
 difference of its source and target offsets, derived only to check that the
 entry is a section.
+
+Each complex is compiled once into PresenceTables: the term offsets cut every
+coordinate into intervals, the tuple of a character's interval indices is
+its cell, and the cell fixes which terms its strand keeps.  A strand holds
+its differentials as the sparse entry map that chain reduction takes.
 """
 
 from __future__ import annotations
@@ -328,18 +333,15 @@ class MonomialComplex:
 
     @cached_property
     def presence_tables(self) -> "PresenceTables":
-        """The compiled strand membership rule (see compile_presence_tables)."""
+        """The compiled cells and strand membership rule (see
+        compile_presence_tables)."""
         return compile_presence_tables(self)
 
-    @cached_property
-    def presence(self) -> Callable[[Character], tuple[tuple[int, ...], ...]]:
-        """The compiled strand membership test (see compile_presence)."""
-        return compile_presence(self)
-
-    @cached_property
-    def chamber(self) -> Callable[[Character], tuple[int, ...]]:
-        """The compiled chamber key (see compile_chamber)."""
-        return compile_chamber(self)
+    def presence(self, character: Character) -> tuple[tuple[int, ...], ...]:
+        """The bases of the strand at a character: per degree from min to max
+        of the complex, the indices of its present terms."""
+        tables = self.presence_tables
+        return tables.bases(tables.mask(character))
 
     @cached_property
     def signature(self) -> tuple:
@@ -451,14 +453,14 @@ class StrandComplex:
     """The finite-dimensional restriction of a complex to one character.
 
     bases[k] lists (degree-local) term indices whose shifted character is a
-    section; mats[k] is the matrix of rational coefficients from degree
-    degrees[k] to degrees[k] + 1 stored as rows indexed by targets.
+    section; entries maps ((d, c), (d + 1, r)) to the rational coefficient
+    from the c-th basis element in degree d to the r-th in degree d + 1.
     """
 
     character: Character
     degrees: tuple[int, ...]
     bases: tuple[tuple[int, ...], ...]
-    mats: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    entries: dict[tuple[tuple[int, int], tuple[int, int]], Fraction]
 
     def dims(self) -> list[int]:
         return [len(b) for b in self.bases]
@@ -469,82 +471,29 @@ class StrandComplex:
     def homology(self) -> dict[int, int]:
         """Nonzero homology dimensions by cohomological degree.
 
-        Each basis element is a cell and each nonzero matrix entry an edge of
-        the complex handed to chain reduction.
+        Each basis element is a cell and each entry an edge of the complex
+        handed to chain reduction.
         """
         cells = {
             (d, i): d for d, base in zip(self.degrees, self.bases) for i in range(len(base))
         }
-        entries = {
-            ((d, c), (d + 1, r)): v
-            for d, mat in zip(self.degrees, self.mats)
-            for r, row in enumerate(mat)
-            for c, v in enumerate(row)
-            if v
-        }
-        return chain_reduce_homology(cells, entries)
-
-
-def _term_cuts(cx: MonomialComplex):
-    """The term slots of a complex and the cuts of its chambers.
-
-    slots lists (degree, index, term) from the lowest degree up.  Each term
-    contributes one value per coordinate of a flattened character: its
-    offset's exponents, and on Y one more coordinate, the x-weighted degree
-    da(character), valued k1 + da(offset).  cuts[c] holds the distinct values
-    on coordinate c in increasing order; flats[bit] the values of slot bit.
-    """
-    seq = cx.seq
-    slots = [(d, i, t) for d in sorted(cx.terms) for i, t in enumerate(cx.terms[d])]
-    flats = [t.offset.alpha + t.offset.beta for _, _, t in slots]
-    if cx.space == SPACE_Y:
-        flats = [
-            off + (t.twist[0] + degree(seq, SPACE_Y, t.offset)[0],)
-            for off, (_, _, t) in zip(flats, slots)
-        ]
-    size = seq.m + seq.n + (cx.space == SPACE_Y)
-    cuts = [sorted({off[c] for off in flats}) for c in range(size)]
-    return slots, flats, cuts
-
-
-def compile_chamber(cx: MonomialComplex) -> Callable[[Character], tuple[int, ...]]:
-    """Compile the chamber key of a complex, once.
-
-    The cuts of _term_cuts split each coordinate of a character into
-    intervals, and the tuple of interval indices is the character's chamber.
-    Whether character - offset is negative on a coordinate, and on Y whether
-    da(character) >= k1 + da(offset), is fixed on a chamber for every term.
-    So are the strand membership of compile_presence and the per-term sign
-    patterns and flags of the Cech oracle.
-    """
-    if not cx.terms:
-        return lambda character: ()
-    _, _, cuts = _term_cuts(cx)
-    if cx.space != SPACE_Y:
-        return lambda character: tuple(map(bisect_right, cuts, character.alpha + character.beta))
-    a = cx.seq.a
-
-    def chamber(character):
-        alpha = character.alpha
-        flat = alpha + character.beta + (sum(map(mul, a, alpha)),)
-        return tuple(map(bisect_right, cuts, flat))
-
-    return chamber
+        return chain_reduce_homology(cells, self.entries)
 
 
 class PresenceTables(NamedTuple):
-    """The compiled strand membership rule of a complex (see
-    compile_presence_tables).
+    """The compiled form of a complex: its cells and its strand membership
+    rule (see compile_presence_tables).
 
-    coords[c] pairs the cuts of _term_cuts on coordinate c with masks, where
-    masks[j] is the bitmask of the term slots whose value is among the j
-    smallest cuts: the terms a value in interval j satisfies on c.  mask maps
-    a character to the bitmask of the term slots present in its strand.
-    groups lists per degree, from the lowest up, the (bit, index) pairs of
-    its terms.
+    coords[c] pairs the cuts on coordinate c with masks, where masks[j] is
+    the bitmask of the term slots whose value is among the j smallest cuts:
+    the terms a value in interval j satisfies on c.  cell maps a character
+    to its cell, the tuple of its interval indices per coordinate, and mask
+    to the bitmask of the term slots present in its strand.  groups lists
+    per degree, from the lowest up, the (bit, index) pairs of its terms.
     """
 
     coords: tuple[tuple[list[int], list[int]], ...]
+    cell: Callable[[Character], tuple[int, ...]]
     mask: Callable[[Character], int]
     groups: tuple[tuple[tuple[int, int], ...], ...]
 
@@ -554,8 +503,8 @@ class PresenceTables(NamedTuple):
 
 
 def compile_presence_tables(cx: MonomialComplex) -> PresenceTables:
-    """Compile the strand membership rule of a complex, once (cached as
-    MonomialComplex.presence_tables).
+    """Compile the cells and the strand membership rule of a complex, once
+    (cached as MonomialComplex.presence_tables).
 
     A term is present in the strand at a character when its candidate
     monomial character - offset is a section of the term's twist.  All terms
@@ -565,24 +514,48 @@ def compile_presence_tables(cx: MonomialComplex) -> PresenceTables:
     each term adds the threshold da(character) >= k1 + da(offset); on module
     the only condition is character >= offset.
 
-    Each coordinate cuts the line at the values of _term_cuts; the interval a
-    character falls in selects, by table lookup, the bitmask of terms it
-    satisfies on that coordinate.  The strand's terms are the AND of the
-    masks.  compile_presence and count_presence both read these tables.
+    So each term contributes one value per coordinate of a flattened
+    character: its offset's exponents, and on Y one more coordinate,
+    da(character), valued k1 + da(offset).  The distinct values on a
+    coordinate cut it into intervals, and the tuple of a character's
+    interval indices is its cell.  On a cell, whether character - offset is
+    negative on a coordinate, and on Y the threshold, is fixed for every
+    term; so are the strand membership, read off by table lookup as the AND
+    of the per-coordinate masks, and the per-term sign patterns and flags of
+    the Cech oracle.  MonomialComplex.presence, count_presence and the
+    oracle's hypercohomology tables all read these tables.
     """
     seq, space = cx.seq, cx.space
-    slots, flats, cuts = _term_cuts(cx)
+    on_y = space == SPACE_Y
+    slots = [(d, i, t) for d in sorted(cx.terms) for i, t in enumerate(cx.terms[d])]
+    flats = [t.offset.alpha + t.offset.beta for _, _, t in slots]
+    if on_y:
+        flats = [
+            off + (t.twist[0] + degree(seq, SPACE_Y, t.offset)[0],)
+            for off, (_, _, t) in zip(flats, slots)
+        ]
 
     def coordinate(c):
+        cuts = sorted({off[c] for off in flats})
         # masks[j]: terms whose value is among the j smallest cuts.
-        masks = [0] * (len(cuts[c]) + 1)
+        masks = [0] * (len(cuts) + 1)
         for bit, off in enumerate(flats):
-            masks[bisect_right(cuts[c], off[c])] |= 1 << bit
+            masks[bisect_right(cuts, off[c])] |= 1 << bit
         for j in range(1, len(masks)):
             masks[j] |= masks[j - 1]
-        return cuts[c], masks
+        return cuts, masks
 
-    coords = tuple(coordinate(c) for c in range(len(cuts)))
+    coords = tuple(coordinate(c) for c in range(seq.m + seq.n + on_y))
+    lines = [cuts for cuts, _ in coords]
+    a = seq.a
+
+    def cell(character):
+        alpha = character.alpha
+        flat = alpha + character.beta
+        if on_y:
+            flat += (sum(map(mul, a, alpha)),)
+        return tuple(map(bisect_right, lines, flat))
+
     groups = ()
     if cx.terms:
         groups = tuple(
@@ -590,46 +563,22 @@ def compile_presence_tables(cx: MonomialComplex) -> PresenceTables:
             for d in range(min(cx.terms), max(cx.terms) + 1)
         )
     ref = cx.reference_degree
-    on_y = space == SPACE_Y
     # Degree weights: deg on minus/plus, da - db on Y, no equation on module.
     weights = None
     if space != SPACE_MODULE:
         sign = -1 if space == SPACE_PLUS else 1
         weights = tuple(sign * w for w in seq.a) + tuple(-sign * w for w in seq.b)
+    tables = [masks for _, masks in coords]
 
     def mask(character):
-        flat = character.alpha + character.beta
-        if weights is not None and sum(map(mul, weights, flat)) != ref:
+        if weights is not None and sum(map(mul, weights, character.alpha + character.beta)) != ref:
             return 0
-        if on_y:
-            flat += (sum(map(mul, seq.a, character.alpha)),)
         found = -1
-        for (line, masks), e in zip(coords, flat):
-            found &= masks[bisect_right(line, e)]
+        for masks, j in zip(tables, cell(character)):
+            found &= masks[j]
         return found
 
-    return PresenceTables(coords, mask, groups)
-
-
-def compile_presence(cx: MonomialComplex) -> Callable[[Character], tuple[tuple[int, ...], ...]]:
-    """The strand membership test of a complex: a character to the `bases` of
-    its strand, per degree from min to max of the complex.
-
-    It reads the complex's compiled tables (compile_presence_tables) and
-    decodes each distinct mask into index tuples once.
-    """
-    tables = cx.presence_tables
-    mask, decode = tables.mask, tables.bases
-    decoded: dict[int, tuple[tuple[int, ...], ...]] = {}
-
-    def presence(character):
-        m = mask(character)
-        bases = decoded.get(m)
-        if bases is None:
-            bases = decoded[m] = decode(m)
-        return bases
-
-    return presence
+    return PresenceTables(coords, cell, mask, groups)
 
 
 def count_presence(
@@ -722,27 +671,22 @@ def strand(cx: MonomialComplex, character: Character) -> StrandComplex:
     raises InconsistentDegrees.
     """
     if not cx.terms:
-        return StrandComplex(character, (), (), ())
+        return StrandComplex(character, (), (), {})
     degrees = tuple(range(min(cx.terms), max(cx.terms) + 1))
     bases = cx.presence(character)
-    mats = []
-    for k, d in enumerate(degrees[:-1]):
-        src = bases[k]
-        tgt = bases[k + 1]
-        pos = {i: c for c, i in enumerate(tgt)}
-        rows = [[Fraction(0)] * len(src) for _ in tgt]
-        tab = cx.diffs.get(d, {})
-        for c, i in enumerate(src):
-            for (si, tj), coeff in tab.items():
-                if si != i:
-                    continue
-                if tj not in pos:
-                    raise InconsistentDegrees(
-                        "present source maps to absent target in strand"
-                    )
-                rows[pos[tj]][c] = coeff
-        mats.append(tuple(tuple(r) for r in rows))
-    return StrandComplex(character, degrees, tuple(bases), tuple(mats))
+    entries = {}
+    for d, src, tgt in zip(degrees, bases, bases[1:]):
+        cols = {i: c for c, i in enumerate(src)}
+        rows = {j: r for r, j in enumerate(tgt)}
+        for (i, j), coeff in cx.diffs.get(d, {}).items():
+            c = cols.get(i)
+            if c is None:
+                continue
+            r = rows.get(j)
+            if r is None:
+                raise InconsistentDegrees("present source maps to absent target in strand")
+            entries[((d, c), (d + 1, r))] = coeff
+    return StrandComplex(character, degrees, bases, entries)
 
 
 def strand_by_degree(cx: MonomialComplex, value: int) -> StrandComplex:
@@ -762,24 +706,14 @@ def strand_by_degree(cx: MonomialComplex, value: int) -> StrandComplex:
     )
     strands = [s for s in (strand(cx, ch) for ch in chars) if any(s.dims())]
     if not strands:
-        return StrandComplex(zero_character(seq), (), (), ())
+        return StrandComplex(zero_character(seq), (), (), {})
     degrees = strands[0].degrees  # every strand spans the complex's full range
-    bases: list[list[int]] = [[] for _ in degrees]
+    bases: dict[int, list[int]] = {d: [] for d in degrees}
+    entries = {}
     for s in strands:
-        for k, base in enumerate(s.bases):
-            bases[k].extend(base)
-    mats = []
-    for k in range(len(degrees) - 1):
-        nrows = len(bases[k + 1])
-        ncols = len(bases[k])
-        rows = [[Fraction(0)] * ncols for _ in range(nrows)]
-        r0 = c0 = 0
-        for s in strands:
-            m = s.mats[k]
-            for r, row in enumerate(m):
-                for c, v in enumerate(row):
-                    rows[r0 + r][c0 + c] = v
-            r0 += len(s.bases[k + 1])
-            c0 += len(s.bases[k])
-        mats.append(tuple(tuple(r) for r in rows))
-    return StrandComplex(zero_character(seq), degrees, tuple(map(tuple, bases)), tuple(mats))
+        # Each strand's basis elements follow those of the strands before it.
+        for ((d, c), (e, r)), coeff in s.entries.items():
+            entries[((d, c + len(bases[d])), (e, r + len(bases[e])))] = coeff
+        for d, base in zip(degrees, s.bases):
+            bases[d].extend(base)
+    return StrandComplex(zero_character(seq), degrees, tuple(map(tuple, bases.values())), entries)

@@ -22,9 +22,9 @@ full Cech double complex per strand through exact chain reduction.
 Sweeps work per chamber, not per character.  cohomology_table reads the
 pattern homology of each sign orthant of the box once and enumerates only
 the orthants where it is nonzero, testing the flag per character.
-hypercohomology_table_bounded keys characters by the chamber of the complex
-(linalg.compile_chamber), which fixes every term's pattern and flag, and
-reduces one double complex per chamber.  character_cohomology and
+hypercohomology_table_bounded keys characters by their cell in the compiled
+tables of the complex (linalg.compile_presence_tables), which fixes every
+term's pattern and flag, and reduces one double complex per cell.  character_cohomology and
 hypercohomology_strand are the per-character references.
 """
 
@@ -650,21 +650,22 @@ def hypercohomology_table_bounded(
 ) -> dict[Character, dict[int, int]]:
     """hypercohomology_table over explicit per-coordinate character bounds.
 
-    Characters of one chamber of the complex (see linalg.compile_chamber)
-    have the same per-term sign patterns and flags, hence the same double
-    complex.  The first character met in each chamber goes through
-    hypercohomology_strand and the rest of the chamber reuses its dims.
+    Characters of one cell of the complex (see
+    linalg.compile_presence_tables) have the same per-term sign patterns and
+    flags, hence the same double complex.  The first character met in each
+    cell goes through hypercohomology_strand and the rest of the cell reuses
+    its dims.
     """
     if cx.reference_degree is None or not cx.terms:
         return {}
-    chamber = cx.chamber
-    by_chamber: dict[tuple[int, ...], dict[int, int]] = {}
+    cell = cx.presence_tables.cell
+    by_cell: dict[tuple[int, ...], dict[int, int]] = {}
     out: dict[Character, dict[int, int]] = {}
     for ch in characters_of_degree(cx.seq, cx.space, cx.reference_degree, low=lows, high=highs):
-        key = chamber(ch)
-        dims = by_chamber.get(key)
+        key = cell(ch)
+        dims = by_cell.get(key)
         if dims is None:
-            dims = by_chamber[key] = hypercohomology_strand(cx, ch)
+            dims = by_cell[key] = hypercohomology_strand(cx, ch)
         if dims:
             out[ch] = dims
     return out

@@ -159,18 +159,8 @@ def normalize(seq: WeightSequence) -> NormalizationTrace:
     for v in entries:
         g = gcd(g, v)
     reduced = tuple(v // g for v in entries)
-    size = len(reduced)
-
-    cs = []
-    for k in range(size):
-        ck = 0
-        for i, v in enumerate(reduced):
-            if i != k:
-                ck = gcd(ck, v)
-        cs.append(ck)
-    ds = []
-    for k in range(size):
-        ds.append(_lcm(c for i, c in enumerate(cs) if i != k))
+    cs = omit_one_gcds(WeightSequence(reduced[: seq.m], reduced[seq.m :]))
+    ds = [_lcm(c for i, c in enumerate(cs) if i != k) for k in range(len(cs))]
     final = tuple(v // d for v, d in zip(reduced, ds))
 
     out = WeightSequence(final[: seq.m], final[seq.m :])
@@ -179,7 +169,7 @@ def normalize(seq: WeightSequence) -> NormalizationTrace:
     return NormalizationTrace(
         input=seq,
         global_gcd=g,
-        omit_one_gcds=tuple(cs),
+        omit_one_gcds=cs,
         lcm_factors=tuple(ds),
         output=out,
     )

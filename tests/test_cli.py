@@ -132,6 +132,17 @@ class TestVerify:
         assert "threshold 65 above the strand-size cap 64" in err
         assert out == ""
 
+    def test_roundtrip_box_too_large_is_configuration_error(self, capsys):
+        # k = 30 on (1,1,1;1,1,1) asks for a box over the enumeration limit,
+        # refused before any round trip runs.
+        code, out, err = run(
+            capsys, "verify", "--seq", "1,1,1;1,1,1", "--suite", "roundtrip",
+            "--k-min", "30", "--k-max", "30",
+        )
+        assert code == 2
+        assert err.startswith("error: character box of size > 4000000")
+        assert "Traceback" not in err and out == ""
+
     def test_serre_suite_json(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--seq", "1,2;1,1,1", "--suite", "serre", "--json"
@@ -207,4 +218,12 @@ class TestCohomology:
         )
         assert code == 2
         assert err.startswith("error: ") and "25 charts" in err
+        assert "Traceback" not in err and out == ""
+
+    def test_box_too_large_is_configuration_error(self, capsys):
+        code, out, err = run(
+            capsys, "cohomology", "--seq", "1,1,1,1;", "--twist", "0", "--box", "2000",
+        )
+        assert code == 2
+        assert err.startswith("error: character box of size > 4000000")
         assert "Traceback" not in err and out == ""

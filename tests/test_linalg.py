@@ -85,7 +85,11 @@ class TestExactCore:
                 if any(cx.presence(ch))
             ]
             st_ = strand(cx, data.draw(st.sampled_from(chars)))
-        ranks = [exact_rank(m, len(b)) for m, b in zip(st_.mats, st_.bases)] + [0]
+        # Dense rows (indexed by targets) of each differential, from entries.
+        mats = [[[0] * len(src) for _ in tgt] for src, tgt in zip(st_.bases, st_.bases[1:])]
+        for ((d, c), (_, r)), v in st_.entries.items():
+            mats[st_.degrees.index(d)][r][c] = v
+        ranks = [exact_rank(m, len(b)) for m, b in zip(mats, st_.bases)] + [0]
         want = {}
         for p, (d, b) in enumerate(zip(st_.degrees, st_.bases)):
             h = len(b) - ranks[p] - (ranks[p - 1] if p else 0)
@@ -252,6 +256,41 @@ class TestStrand:
         st_ = strand_by_degree(cx, 0)
         assert st_.homology() == {0: 1}
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(1, 3), min_size=1, max_size=3), st.integers(0, 5), st.data())
+    def test_strand_by_degree_is_the_direct_sum(self, a, k, data):
+        # The re-indexed entries against the per-character strands they sum.
+        from collections import Counter
+
+        cx = build_resolution(WeightSequence(tuple(a), ()), k, "module")
+        d = data.draw(st.integers(0, k + 4))
+        chars = sorted(characters_of_degree(cx.seq, "module", d, low=0, high=d))
+        parts = [p for p in (strand(cx, ch) for ch in chars) if any(p.dims())]
+        total = strand_by_degree(cx, d)
+        if not parts:
+            assert total.degrees == () and total.homology() == {}
+            return
+        assert total.degrees == parts[0].degrees
+        assert total.bases == tuple(
+            sum((p.bases[i] for p in parts), ()) for i in range(len(total.degrees))
+        )
+        # Block-diagonal: every entry joins two cells of one part, and read
+        # back in that part's local indices it is the part's own entry.
+        owner = {}
+        for k, d in enumerate(total.degrees):
+            local = [(n, i) for n, p in enumerate(parts) for i in range(len(p.bases[k]))]
+            owner.update(((d, g), cell) for g, cell in enumerate(local))
+        back: dict = {n: {} for n in range(len(parts))}
+        for ((d, c), (e, r)), v in total.entries.items():
+            (n, i), (n2, j) = owner[(d, c)], owner[(e, r)]
+            assert n == n2
+            back[n][((d, i), (e, j))] = v
+        assert back == {n: p.entries for n, p in enumerate(parts)}
+        want: Counter = Counter()
+        for p in parts:
+            want.update(p.homology())
+        assert total.homology() == dict(want)
+
 
 class TestComplexValidation:
     def test_rejects_nonsquaring_differential(self):
@@ -360,16 +399,15 @@ class TestCompiledPresence:
     def test_matches_per_term_rule(self, a, b, k):
         from hypothesis import assume
 
-        from orbiflip import compile_presence, is_well_formed
+        from orbiflip import is_well_formed
 
         s = WeightSequence(tuple(a), tuple(b))
         assume(is_well_formed(s) and s.sum_a <= s.sum_b)
         complexes = _presence_complexes(s, k)
         assert {cx.space for cx in complexes} == {"minus", "plus", "Y", "module"}
         for cx in complexes:
-            presence = compile_presence(cx)
             for ch in _presence_box(cx, k + 1):
-                assert presence(ch) == _per_term_bases(cx, ch), (cx.summary(), ch)
+                assert cx.presence(ch) == _per_term_bases(cx, ch), (cx.summary(), ch)
 
     def test_strand_bases_come_from_the_compiled_test(self):
         cx = build_resolution(seq("1,2;1,1,1"), 3, "plus")
@@ -377,10 +415,8 @@ class TestCompiledPresence:
             assert strand(cx, ch).bases == cx.presence(ch) == _per_term_bases(cx, ch)
 
     def test_empty_complex(self):
-        from orbiflip import compile_presence
-
         cx = MonomialComplex(seq("1,1;"), "module", {}, {})
-        assert compile_presence(cx)(Character((1, 0), ())) == ()
+        assert cx.presence(Character((1, 0), ())) == ()
 
 
 def _roundtrip_complexes(s, k, pair, image, shift, twist):
