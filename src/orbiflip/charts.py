@@ -152,14 +152,19 @@ def y_chart(seq: WeightSequence, i: int, j: int) -> CyclicQuotientChart:
     )
 
 
+def check_group_order(chart: CyclicQuotientChart) -> None:
+    """Raise TooLargeGroup for a chart group above GROUP_ENUMERATION_CAP."""
+    if chart.order > GROUP_ENUMERATION_CAP:
+        raise TooLargeGroup(f"group order {chart.order} exceeds {GROUP_ENUMERATION_CAP}")
+
+
 def is_small(chart: CyclicQuotientChart) -> bool:
     """True iff every non-identity element acts nontrivially on >= 2 coordinates.
 
     Decided by enumerating the whole group; orders above the cap raise
     TooLargeGroup.
     """
-    if chart.order > GROUP_ENUMERATION_CAP:
-        raise TooLargeGroup(f"group order {chart.order} exceeds {GROUP_ENUMERATION_CAP}")
+    check_group_order(chart)
     orders = chart.group_orders
     lcm_all = 1
     for r in orders:
@@ -198,22 +203,31 @@ class AtlasEntry:
 
 def atlas_report(seq: WeightSequence) -> list[AtlasEntry]:
     """All charts of X- (i = 1..m), X+ (j = 1..n) and Y (i, j), in that order,
-    each with its smallness flag and per-factor normal forms."""
-    entries: list[AtlasEntry] = []
+    each with its smallness flag and per-factor normal forms.
 
-    def add(space, index, chart):
-        forms = tuple(
-            normal_form(order, row)
-            for order, row in zip(chart.group_orders, chart.weight_rows)
-        )
-        entries.append(AtlasEntry(space, index, chart, is_small(chart), forms))
-
-    for i in range(1, seq.m + 1):
-        add("minus", (i,), minus_chart(seq, i))
-    for j in range(1, seq.n + 1):
-        add("plus", (j,), plus_chart(seq, j))
+    Both loop over group elements or units, so every chart's order is checked
+    against GROUP_ENUMERATION_CAP before either runs on any chart.
+    """
+    charts = [("minus", (i,), minus_chart(seq, i)) for i in range(1, seq.m + 1)]
+    charts += [("plus", (j,), plus_chart(seq, j)) for j in range(1, seq.n + 1)]
     if seq.m >= 1 and seq.n >= 1:
-        for i in range(1, seq.m + 1):
-            for j in range(1, seq.n + 1):
-                add("Y", (i, j), y_chart(seq, i, j))
-    return entries
+        charts += [
+            ("Y", (i, j), y_chart(seq, i, j))
+            for i in range(1, seq.m + 1)
+            for j in range(1, seq.n + 1)
+        ]
+    for _, _, chart in charts:
+        check_group_order(chart)
+    return [
+        AtlasEntry(
+            space,
+            index,
+            chart,
+            is_small(chart),
+            tuple(
+                normal_form(order, row)
+                for order, row in zip(chart.group_orders, chart.weight_rows)
+            ),
+        )
+        for space, index, chart in charts
+    ]

@@ -1,7 +1,8 @@
 """Command-line frontend: analyze | resolve | transform | verify | cohomology.
 
 Exit codes: 0 all checks passed, 1 a verification failed, 2 usage or
-configuration error (a character box over the enumeration limit included).
+configuration error (a character box, chart group or resolution table over
+its limit included).
 --json switches to the versioned machine-readable report (schema
 "orbiflip/1"); text output is human-oriented and not a stability surface.
 """
@@ -13,7 +14,14 @@ import json
 import sys
 
 from .charts import atlas_report
-from .errors import BoxTooLarge, OrbiflipError, ParseError, PreconditionKLevel, Unsupported
+from .errors import (
+    BoxTooLarge,
+    OrbiflipError,
+    ParseError,
+    PreconditionKLevel,
+    TooLargeGroup,
+    Unsupported,
+)
 from .functors import (
     IdealImage,
     VerificationReport,
@@ -376,7 +384,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:
         return args.func(args)
-    except (ParseError, Unsupported, PreconditionKLevel, BoxTooLarge) as exc:
+    except (ParseError, Unsupported, PreconditionKLevel, BoxTooLarge, TooLargeGroup) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OrbiflipError as exc:

@@ -6,18 +6,24 @@ graded free resolution has length at most the number of variables, monomial
 differential matrices (everything is multigraded), and every twist e in it
 satisfies k <= e < k + sum(w).
 
-One construction gives both the Betti degrees and the matrices.  With the
-variables ordered by decreasing weight, I_k is a stable ideal: if u lies in
-I_k, x_j divides u and w_i >= w_j, then x_i u / x_j lies in I_k too.  A
-stable ideal is minimally resolved by the Eliahou-Kervaire resolution
-(Eliahou-Kervaire, J. Algebra 129, 1990), whose basis symbols _ek_symbols
-enumerates.  Two certificates check what the construction returns:
+With the variables ordered by decreasing weight, I_k is a stable ideal: if u
+lies in I_k, x_j divides u and w_i >= w_j, then x_i u / x_j lies in I_k too.
+A stable ideal is minimally resolved by the Eliahou-Kervaire resolution
+(Eliahou-Kervaire, J. Algebra 129, 1990): one basis symbol (u, sigma) per
+minimal generator u and subset sigma of the variables before u's last one.
+Two certificates check what the construction returns:
 
- * minimal_resolution_degrees reads the twists off the symbols and checks
-   their alternating sum against the Hilbert series of I_k;
- * build_resolution writes out the explicit Eliahou-Kervaire differential and
-   certifies, without appeal to the theorem, that it is minimal (no entry is
-   a unit) and exact (strand by strand).
+ * minimal_resolution_degrees counts the symbols by position and degree with
+   generating functions, never listing one, and checks the alternating sum
+   of the counts against the Hilbert series of I_k;
+ * build_resolution writes out the explicit Eliahou-Kervaire differential
+   on the symbols of _ek_symbols and certifies, without appeal to the
+   theorem, that it is minimal (no entry is a unit) and exact, with one
+   strand reduced per presence mask (the set of generators dividing a
+   monomial) rather than per monomial.
+
+Both count the table before building it and refuse one of more than
+TABLE_CAP symbols.
 """
 
 from __future__ import annotations
@@ -80,6 +86,7 @@ def threshold_generators(weights, k: int) -> list[tuple[int, ...]]:
     the least power of x_j that reaches k.
     """
     weights = tuple(weights)
+    check_table_size(weights, k)
     if k <= 0:
         return [(0,) * len(weights)]
     gens = []
@@ -109,7 +116,9 @@ def _beginning(weights, order, v, k: int) -> tuple[int, ...]:
 
 
 def _ek_symbols(weights, k: int) -> dict[int, list]:
-    """Basis symbols of the Eliahou-Kervaire resolution of I_k, by position.
+    """Basis symbols of the Eliahou-Kervaire resolution of I_k, by position:
+    the basis of module_resolution (minimal_resolution_degrees counts them
+    instead, with _betti_counts).
 
     Position l + 1 holds one symbol (u, sigma) for each minimal generator u,
     in sorted order, and each l-subset sigma of the variables strictly before
@@ -147,6 +156,12 @@ class ResolutionDegrees:
 
 
 THRESHOLD_CAP = 64
+# Symbols in one Eliahou-Kervaire table.  The largest table the tests and
+# the benchmark reach has 3,249: (1, 1, 1, 1) at k = 12, the corner of
+# acceptance criterion 1's domain.  A Betti read-off at the cap takes
+# milliseconds.  Explicit builds cost far more per symbol: that table takes
+# about 11 s to build and certify on a 2-core machine.
+TABLE_CAP = 10**5
 
 
 def check_threshold(k: int, cap: int | None = None):
@@ -159,34 +174,105 @@ def check_threshold(k: int, cap: int | None = None):
         )
 
 
+def check_table_size(weights, k: int) -> None:
+    """Raise Unsupported if the Eliahou-Kervaire table of I_k has more than
+    TABLE_CAP symbols, counted without listing any.
+
+    The generators whose last variable is the p-th in decreasing-weight order
+    are the monomials of degree below k in the p variables before it, each
+    with 2^p subsets sigma; a coin-change DP counts those monomials.
+    """
+    size = 1
+    if k > 0:
+        heads = [1] + [0] * (k - 1)
+        size = 0
+        for p, w in enumerate(sorted(weights, reverse=True)):
+            size += sum(heads) << p
+            for d in range(w, k):
+                heads[d] += heads[d - w]
+    if size > TABLE_CAP:
+        raise Unsupported(
+            f"resolution of I_{k} over {tuple(weights)} has {size} basis elements, "
+            f"above the table cap {TABLE_CAP}"
+        )
+
+
 def minimal_resolution_degrees(weights, k: int, cap: int | None = None) -> ResolutionDegrees:
-    """Betti degrees of I_k from the Eliahou-Kervaire symbols.
+    """Betti degrees of I_k, counted off the Eliahou-Kervaire symbols.
 
     Position l carries deg(u) + w(sigma) for each symbol (u, sigma) with
-    |sigma| = l - 1.  That this is the minimal resolution's table is the
-    Eliahou-Kervaire theorem, not something checked here: the check covers
-    only the Hilbert series, sum_l (-1)^(l-1) beta_l(t) = 1 - P(t) prod_i
-    (1 - t^w_i) with P(t) counting the monomials of each degree below k, and
-    a mismatch raises ResolutionConstructionFailure.  k <= 0 gives the free
-    module itself; k is capped (default 64) to bound the table's size.
+    |sigma| = l - 1; _betti_counts counts them per degree by generating
+    function, and each count row expands to the sorted degree tuple.  That
+    this is the minimal resolution's table is the Eliahou-Kervaire theorem,
+    not something checked here: the check covers only the Hilbert series,
+    sum_l (-1)^(l-1) beta_l(t) = 1 - P(t) prod_i (1 - t^w_i) with P(t)
+    counting the monomials of each degree below k, and a mismatch raises
+    ResolutionConstructionFailure.  k <= 0 gives the free module itself; k is
+    capped (default 64) and so is the table size (TABLE_CAP), both before
+    any work.
     """
     weights = tuple(weights)
     if not weights:
         raise Unsupported("resolutions need at least one variable")
     check_threshold(k, cap)
     k = max(k, 0)
+    check_table_size(weights, k)
+    rows = _betti_counts(weights, k)
+    _check_hilbert_series(weights, k, rows)
     degrees = {
         l: tuple(
-            sorted(weighted_degree(weights, u) + sum(weights[i] for i in sigma) for u, sigma in symbols)
+            itertools.chain.from_iterable(
+                itertools.repeat(e, count) for e, count in enumerate(row) if count
+            )
         )
-        for l, symbols in _ek_symbols(weights, k).items()
+        for l, row in rows.items()
     }
-    _check_hilbert_series(weights, k, degrees)
     return ResolutionDegrees(weights, k, degrees)
 
 
-def _check_hilbert_series(weights, k: int, degrees) -> None:
-    """Raise unless sum_l (-1)^(l-1) beta_l(t) = 1 - P(t) prod_i (1 - t^w_i)."""
+def _betti_counts(weights, k: int) -> dict[int, list[int]]:
+    """rows[l][e]: the number of Eliahou-Kervaire symbols of I_k at position
+    l and degree e.
+
+    In decreasing-weight order, let G_p(t) count the generators whose last
+    variable is the p-th: each monomial of degree d < k in the variables
+    before it, times the least power of x_p that reaches k.  A symbol (u,
+    sigma) adds the weights of sigma, a subset of those variables, so
+    position l counts sum_p G_p(t) e_(l-1)(t^w_1, ..., t^w_(p-1)), with e_j
+    the j-th elementary symmetric polynomial.
+    """
+    if k <= 0:
+        return {1: [1]}
+    top = k + sum(weights)
+    # heads[d]: monomials of degree d < k in the variables so far (coin
+    # change); elementary[j][e]: coefficient of t^e in e_j of their weights.
+    heads = [1] + [0] * (k - 1)
+    elementary = [[1] + [0] * (top - 1)]
+    rows: dict[int, list[int]] = {}
+    for w in sorted(weights, reverse=True):
+        # Degrees of G_p: d + w * ceil((k - d) / w) for each head of degree d.
+        generators = [
+            (d - (d - k) // w * w, count) for d, count in enumerate(heads) if count
+        ]
+        for j, poly in enumerate(elementary):
+            row = rows.setdefault(j + 1, [0] * top)
+            terms = [(e, c) for e, c in enumerate(poly) if c]
+            for g, count in generators:
+                for e, c in terms:
+                    row[g + e] += count * c
+        for d in range(w, k):
+            heads[d] += heads[d - w]
+        elementary.append([0] * top)
+        for j in range(len(elementary) - 1, 0, -1):
+            below, poly = elementary[j - 1], elementary[j]
+            for e in range(top - 1, w - 1, -1):
+                poly[e] += below[e - w]
+    return rows
+
+
+def _check_hilbert_series(weights, k: int, rows) -> None:
+    """Raise unless sum_l (-1)^(l-1) beta_l(t) = 1 - P(t) prod_i (1 - t^w_i),
+    beta_l read off the count rows (rows[l][e] twists of degree e)."""
     top = k + sum(weights)
     # P(t) by coin change over the weights, truncated below k, then times
     # each (1 - t^w); the product has degree below top.
@@ -201,9 +287,11 @@ def _check_hilbert_series(weights, k: int, degrees) -> None:
             series[d] -= series[d - w]
     want = {d: (d == 0) - c for d, c in enumerate(series) if (d == 0) != c}
     got: dict[int, int] = {}
-    for l, es in degrees.items():
-        for e in es:
-            got[e] = got.get(e, 0) + (-1) ** (l - 1)
+    for l, row in rows.items():
+        sign = (-1) ** (l - 1)
+        for e, count in enumerate(row):
+            if count:
+                got[e] = got.get(e, 0) + sign * count
     got = {e: c for e, c in got.items() if c}
     if got != want:
         raise ResolutionConstructionFailure(
@@ -365,6 +453,13 @@ def _verify_strand_exactness(weights, k, positions, raw_diffs):
     there makes the first syzygies relations among the generators of I_k.
     Without it, strand dimensions alone do not tell I_k from another module
     with the same multigraded Hilbert function.
+
+    A module strand depends only on its presence mask, the set of terms
+    whose offsets divide the monomial: the entries are indexed by term, not
+    by character.  So one strand is reduced per distinct mask, at the first
+    monomial that shows it (the cells of the lcm lattice of the offsets,
+    Gasharov-Peeva-Welker 1999).  A monomial below k lies in no generator's
+    cell, so a mask seen both below and at or above k is itself a failure.
     """
     augmentation = {(j, 0): Fraction(1) for j in range(len(positions[0]))}
     cx = _assemble(
@@ -373,13 +468,26 @@ def _verify_strand_exactness(weights, k, positions, raw_diffs):
         (((0,) * len(weights),),) + tuple(positions),
         (augmentation,) + tuple(raw_diffs),
     )
+    mask_of = cx.presence_tables.mask
+    below_k: dict[int, bool] = {}
     # Every generator lies below k + sum(w); two degrees beyond cover the
     # strands where the last syzygies meet.
     top = k + sum(weights) + 2
     for d in range(top + 1):
+        low = d < k
         for mu in monomials_of_weighted_degree(tuple(weights), d):
-            hom = strand(cx, Character(mu, ())).homology()
-            if hom != ({0: 1} if d < k else {}):
+            character = Character(mu, ())
+            mask = mask_of(character)
+            if mask in below_k:
+                if below_k[mask] != low:
+                    raise ResolutionConstructionFailure(
+                        f"strand {mu} of I_{k} over {weights}: its presence mask "
+                        "also occurs on the other side of the threshold"
+                    )
+                continue
+            below_k[mask] = low
+            hom = strand(cx, character).homology()
+            if hom != ({0: 1} if low else {}):
                 raise ResolutionConstructionFailure(
                     f"strand {mu} of I_{k} over {weights}: homology {hom}"
                 )

@@ -96,6 +96,20 @@ class TestSmallness:
             assert entry.small, (s, entry.label())
 
 
+    def test_atlas_checks_every_order_before_any_chart_loop(self, monkeypatch):
+        # The second plus chart and the Y charts are over the cap; no chart,
+        # small or not, may reach normal_form or is_small first.
+        import orbiflip.charts as charts
+
+        def forbidden(*args):
+            raise AssertionError("per-chart loop ran before the order check")
+
+        monkeypatch.setattr(charts, "normal_form", forbidden)
+        monkeypatch.setattr(charts, "is_small", forbidden)
+        with pytest.raises(TooLargeGroup, match="group order 1000003 exceeds"):
+            atlas_report(seq("1,1;1,1000003"))
+
+
 class TestPlusChartSymmetry:
     @settings(max_examples=40, deadline=None)
     @given(well_formed_sequences)

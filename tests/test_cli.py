@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 from orbiflip.cli import main
 
@@ -43,6 +44,22 @@ class TestAnalyze:
         assert "error" in err
 
 
+    def test_group_over_cap_is_configuration_error(self, capsys):
+        code, out, err = run(capsys, "analyze", "--seq", "1000003,1000033;1000037,1000039")
+        assert code == 2
+        assert err == "error: group order 1000003 exceeds 1000000\n"
+        assert out == ""
+
+    def test_prime_orders_near_a_billion_refused_at_once(self, capsys):
+        # normal_form would loop over about 10^9 units of the first chart.
+        start = time.perf_counter()
+        code, out, err = run(capsys, "analyze", "--seq", "999999937,999999929;1,1")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert err == "error: group order 999999937 exceeds 1000000\n"
+        assert out == ""
+
+
 class TestResolve:
     def test_weighted_table(self, capsys):
         code, out, _ = run(
@@ -71,6 +88,18 @@ class TestResolve:
         )
         assert code == 2
         assert err.startswith("error: ") and "k must be >= 0" in err
+        assert out == ""
+
+    def test_oversized_table_refused_at_once(self, capsys):
+        # I_30 in twelve variables: C(41, 11), about 2.25e9, generators.
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "resolve", "--seq", "1;1,1,1,1,1,1,1,1,1,1,1,1", "--side", "minus",
+            "--k", "30",
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert err.startswith("error: resolution of I_30 ") and "above the table cap" in err
         assert out == ""
 
     def test_square_ideal(self, capsys):

@@ -19,7 +19,7 @@ from orbiflip import (
     verify_degree_bounds,
 )
 from orbiflip import resolution
-from orbiflip.errors import ResolutionConstructionFailure
+from orbiflip.errors import ResolutionConstructionFailure, Unsupported
 from orbiflip.exact import chain_reduce_homology
 from orbiflip.linalg import Character
 from orbiflip.resolution import monomials_of_weighted_degree, weighted_degree
@@ -151,10 +151,85 @@ class TestKoszulReference:
                     assert got == koszul_betti_degrees(weights, k), (weights, k)
 
 
+def count_rows(degrees):
+    """The count rows of a degree table: rows[l][e] twists of degree e."""
+    rows = {}
+    for l, es in degrees.items():
+        rows[l] = [0] * (max(es, default=-1) + 1)
+        for e in es:
+            rows[l][e] += 1
+    return rows
+
+
+def symbol_betti_degrees(weights, k):
+    """Reference Betti degrees read off the Eliahou-Kervaire symbols one by one."""
+    return {
+        l: tuple(
+            sorted(weighted_degree(weights, u) + sum(weights[i] for i in sigma) for u, sigma in symbols)
+        )
+        for l, symbols in resolution._ek_symbols(weights, max(k, 0)).items()
+    }
+
+
+class TestCountedTable:
+    """The generating-function table against the symbols it counts."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(1, 6), min_size=1, max_size=4), st.integers(0, 12))
+    @example([1, 1, 1, 1], 12)
+    @example([6, 5, 4, 3], 12)
+    @example([6, 1, 6, 1], 7)
+    def test_matches_symbols_on_criterion_one_domain(self, weights, k):
+        weights = tuple(weights)
+        assert minimal_resolution_degrees(weights, k).degrees == symbol_betti_degrees(weights, k)
+
+
+class TestTableCap:
+    """I_30 in twelve variables of weight one has C(41, 11) generators."""
+
+    PROBE = ((1,) * 12, 30)
+
+    def test_refused_before_counting(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("work started before the table-size check")
+
+        monkeypatch.setattr(resolution, "_betti_counts", forbidden)
+        with pytest.raises(Unsupported, match="above the table cap"):
+            minimal_resolution_degrees(*self.PROBE)
+        with pytest.raises(Unsupported, match="above the table cap"):
+            threshold_generators(*self.PROBE)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.integers(1, 6), min_size=1, max_size=4), st.integers(0, 12))
+    def test_cap_counts_the_symbols_exactly(self, weights, k):
+        weights = tuple(weights)
+        size = sum(map(len, resolution._ek_symbols(weights, k).values()))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(resolution, "TABLE_CAP", size)
+            table = minimal_resolution_degrees(weights, k).degrees
+            assert sum(map(len, table.values())) == size
+            patch.setattr(resolution, "TABLE_CAP", size - 1)
+            with pytest.raises(Unsupported, match=f"has {size} basis elements"):
+                minimal_resolution_degrees(weights, k)
+            with pytest.raises(Unsupported, match=f"has {size} basis elements"):
+                threshold_generators(weights, k)
+
+    def test_builds_refused(self):
+        with pytest.raises(Unsupported, match="above the table cap"):
+            build_resolution(WeightSequence((1,), (1,) * 12), 30, "minus")
+        with pytest.raises(Unsupported, match="above the table cap"):
+            build_resolution(WeightSequence((1,) * 12, ()), 30, "module")
+
+    def test_zero_threshold_is_one_symbol(self, monkeypatch):
+        monkeypatch.setattr(resolution, "TABLE_CAP", 1)
+        assert minimal_resolution_degrees((1,) * 40, 0).degrees == {1: (0,)}
+
+
 class TestHilbertSeriesCheck:
     def test_true_tables_pass(self):
-        resolution._check_hilbert_series((1, 2), 2, {1: (2, 2), 2: (4,)})
-        resolution._check_hilbert_series((1, 1), 0, {1: (0,)})
+        resolution._check_hilbert_series((1, 2), 2, count_rows({1: (2, 2), 2: (4,)}))
+        resolution._check_hilbert_series((1, 1), 0, count_rows({1: (0,)}))
+        resolution._check_hilbert_series((1, 2, 3), 5, resolution._betti_counts((1, 2, 3), 5))
 
     @pytest.mark.parametrize(
         "degrees",
@@ -162,17 +237,19 @@ class TestHilbertSeriesCheck:
     )
     def test_wrong_tables_fail(self, degrees):
         with pytest.raises(ResolutionConstructionFailure, match="Hilbert series"):
-            resolution._check_hilbert_series((1, 2), 2, degrees)
+            resolution._check_hilbert_series((1, 2), 2, count_rows(degrees))
 
     def test_injected_wrong_symbols_fail(self, monkeypatch):
-        real = resolution._ek_symbols
+        real = resolution._betti_counts
 
         def dropped(weights, k):
-            symbols = real(weights, k)
-            symbols[max(symbols)] = symbols[max(symbols)][:-1]
-            return symbols
+            # One basis element fewer at the top position.
+            rows = real(weights, k)
+            top = rows[max(rows)]
+            top[max(e for e, count in enumerate(top) if count)] -= 1
+            return rows
 
-        monkeypatch.setattr(resolution, "_ek_symbols", dropped)
+        monkeypatch.setattr(resolution, "_betti_counts", dropped)
         with pytest.raises(ResolutionConstructionFailure, match="Hilbert series"):
             minimal_resolution_degrees((1, 2, 3), 5)
 
@@ -207,6 +284,99 @@ class TestEliahouKervaireComplex:
         resolution._verify_strand_exactness((1,), 1, positions, raw_diffs)
         with pytest.raises(ResolutionConstructionFailure, match="unit entry"):
             resolution._verify_minimality((1,), 1, positions, raw_diffs)
+
+
+def per_monomial_strand_exactness(weights, k, positions, raw_diffs):
+    """Reference for resolution._verify_strand_exactness: the augmented
+    complex F -> R reduced on every monomial strand up to k + sum(w) + 2,
+    one strand per monomial."""
+    augmentation = {(j, 0): Fraction(1) for j in range(len(positions[0]))}
+    cx = resolution._assemble(
+        resolution._module_sequence(weights),
+        "module",
+        (((0,) * len(weights),),) + tuple(positions),
+        (augmentation,) + tuple(raw_diffs),
+    )
+    for d in range(k + sum(weights) + 3):
+        for mu in monomials_of_weighted_degree(tuple(weights), d):
+            hom = strand(cx, Character(mu, ())).homology()
+            if hom != ({0: 1} if d < k else {}):
+                raise ResolutionConstructionFailure(
+                    f"strand {mu} of I_{k} over {weights}: homology {hom}"
+                )
+
+
+def certificate_outcome(check, weights, k, positions, raw_diffs):
+    """None if the check passes, else the failing strand of its message."""
+    try:
+        check(weights, k, positions, raw_diffs)
+    except ResolutionConstructionFailure as exc:
+        return str(exc).split(":")[0]
+    return None
+
+
+class TestPerMaskCertificate:
+    """One strand per presence mask against one strand per monomial."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(st.integers(1, 4), min_size=1, max_size=3),
+        st.integers(0, 7),
+        st.sampled_from(["none", "drop", "kill"]),
+        st.data(),
+    )
+    @example([1, 1, 1], 4, "kill", None)
+    @example([1, 2], 3, "drop", None)
+    def test_agrees_with_per_monomial_reference(self, weights, k, fault, data):
+        # The same first failing strand, or none, on the true resolution and
+        # on one whose top position lost an element ("drop") or the
+        # differential out of one ("kill"); both faults keep d o d = 0.
+        weights = tuple(weights)
+        positions, raw_diffs = resolution.module_resolution(weights, k)
+        top = len(positions) - 1
+        if fault != "none":
+            src = 0 if data is None else data.draw(st.integers(0, len(positions[top]) - 1))
+            shift = fault == "drop"
+            if shift:
+                positions = positions[:top] + (positions[top][:src] + positions[top][src + 1 :],)
+            if top:
+                table = {
+                    (s - (shift and s > src), t): c for (s, t), c in raw_diffs[-1].items() if s != src
+                }
+                raw_diffs = raw_diffs[:-1] + (table,)
+        fast, slow = (
+            certificate_outcome(check, weights, k, positions, raw_diffs)
+            for check in (resolution._verify_strand_exactness, per_monomial_strand_exactness)
+        )
+        assert fast == slow
+        assert (fast is None) == (fault == "none" or (fault == "kill" and not top))
+
+    def test_reduces_one_strand_per_mask(self, monkeypatch):
+        # (1, 1, 1, 1) at k = 4: 1001 monomials up to degree 10, 469 masks.
+        calls = []
+        real = resolution.strand
+
+        def counting(cx, character):
+            calls.append(character)
+            return real(cx, character)
+
+        monkeypatch.setattr(resolution, "strand", counting)
+        positions, raw_diffs = resolution.module_resolution((1, 1, 1, 1), 4)
+        resolution._verify_strand_exactness((1, 1, 1, 1), 4, positions, raw_diffs)
+        assert len(calls) == 469
+
+    def test_mask_on_both_sides_of_threshold_fails(self):
+        # I_2 over two variables missing the generator y^2, with the one
+        # syzygy of x^2 and xy: exact where it has terms, but y^2 lies in
+        # no generator's cell, as 1 does below k.
+        positions = (((1, 1), (2, 0)), ((2, 1),))
+        raw_diffs = ({(0, 0): Fraction(1), (0, 1): Fraction(-1)},)
+        with pytest.raises(
+            ResolutionConstructionFailure, match=r"strand \(0, 2\) .* other side of the threshold"
+        ):
+            resolution._verify_strand_exactness((1, 1), 2, positions, raw_diffs)
+        with pytest.raises(ResolutionConstructionFailure, match=r"strand \(0, 2\) .* homology"):
+            per_monomial_strand_exactness((1, 1), 2, positions, raw_diffs)
 
 
 class TestDegreeBounds:
