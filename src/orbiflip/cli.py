@@ -2,7 +2,7 @@
 
 Exit codes: 0 all checks passed, 1 a verification failed, 2 usage or
 configuration error (a character box, chart group or resolution table over
-its limit included).
+its limit included, and a transform input with no closed-form image).
 --json switches to the versioned machine-readable report (schema
 "orbiflip/1"); text output is human-oriented and not a stability surface.
 """
@@ -19,6 +19,7 @@ from .errors import (
     OrbiflipError,
     ParseError,
     PreconditionKLevel,
+    PushforwardNotClosedForm,
     TooLargeGroup,
     Unsupported,
 )
@@ -146,7 +147,12 @@ def cmd_resolve(args) -> int:
 
 def cmd_transform(args) -> int:
     seq = _parse_seq(args.seq)
-    image = apply_functor(seq, args.functor, args.k)
+    try:
+        image = apply_functor(seq, args.functor, args.k)
+    except PushforwardNotClosedForm as exc:
+        # An input the functor has no closed form for; nothing was verified.
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     if isinstance(image, IdealImage):
         summary = image.render()
         data_img = {

@@ -14,18 +14,27 @@ mu-*A_i = A_i and mu+*A_i = A_i + a_i*Ebar.
 The Cech oracle is the package's independent ground truth: per character it
 computes the cohomology of the covering by the coordinate charts, with the
 orbifold divisibility filter built in by working with downstairs exponents.
-Membership of a character on a chart intersection is a sign pattern plus, on
-Y and for threshold ideal sheaves, one threshold flag, so homology dimensions
-are memoized per pattern.  Hypercohomology of complexes of twists runs the
-full Cech double complex per strand through exact chain reduction.
+A side is covered by its m (or n) charts.  Y is covered twice, by the
+x-charts U_i = {x_i != 0} and by the y-charts V_j = {y_j != 0}, and every
+U_A meet V_B is an affine chart intersection, so the oracle reduces the Cech
+bicomplex of the two covers: (2^m - 1)(2^n - 1) cells (A, B) at most, where
+the cover by the m*n charts {x_i y_j != 0} has 2^(m*n) - 1 chart subsets.
+Membership of a character on a cell is a sign pattern plus, on Y and for
+threshold ideal sheaves, one threshold flag, so homology dimensions are
+memoized per pattern.  Hypercohomology of complexes of twists runs the full
+Cech double complex per strand through exact chain reduction.
 
 Sweeps work per chamber, not per character.  cohomology_table reads the
 pattern homology of each sign orthant of the box once and enumerates only
 the orthants where it is nonzero, testing the flag per character.
 hypercohomology_table_bounded keys characters by their cell in the compiled
-tables of the complex (linalg.compile_presence_tables), which fixes every
-term's pattern and flag, and reduces one double complex per cell.  character_cohomology and
-hypercohomology_strand are the per-character references.
+tables of the complex (linalg.compile_presence_tables) and reduces one
+double complex per cell.  The cell fixes every term's pattern and flag, and
+_cell_patterns reads them off its masks: term b needs coordinate c inverted
+iff its bit is absent from the mask of the cell's interval on c, and on Y it
+passes the flag iff its bit is present on the extra da coordinate.
+character_cohomology and hypercohomology_strand are the per-character
+references.
 """
 
 from __future__ import annotations
@@ -303,22 +312,17 @@ def serre_twist(seq: WeightSequence, space: str, obj):
 CHART_LIMIT = 12
 
 
-def _cech_complex(subsets, tag=(), shift=0):
-    """The alternating Cech complex of an upward-closed family of chart subsets.
-
-    Each subset is a cell tag + (subset,) in degree shift + |subset| - 1;
-    dropping the chart at position pos from a subset gives a face, joined to
-    it with sign (-1)^pos when the face is in the family.  Returns the
-    (cells, entries) pair chain_reduce_homology takes.
-    """
-    cells = {tag + (sub,): shift + len(sub) - 1 for sub in subsets}
-    entries = {}
-    for sub in subsets:
-        for pos in range(len(sub)):
-            face = tag + (sub[:pos] + sub[pos + 1 :],)
-            if face in cells:
-                entries[(face, tag + (sub,))] = -1 if pos % 2 else 1
-    return cells, entries
+def _cech_complex(cells, tag=(), shift=0):
+    """The (cells, entries) pair chain_reduce_homology takes for a family of
+    Cech cells from _pattern_subsets, each cell keyed tag + (cell,) and
+    placed in degree shift + its Cech degree."""
+    degrees = {tag + (cell,): shift + deg for cell, deg, _ in cells}
+    entries = {
+        (tag + (face,), tag + (cell,)): sign
+        for cell, _, faces in cells
+        for face, sign in faces
+    }
+    return degrees, entries
 
 
 @lru_cache(maxsize=None)
@@ -336,10 +340,10 @@ def _side_pattern_dims(m: int, neg: frozenset) -> dict[int, int]:
 
 @lru_cache(maxsize=None)
 def _y_pattern_dims(m: int, n: int, neg_x: frozenset, neg_y: frozenset) -> dict[int, int]:
-    """Cohomology dims of the m*n-chart cover of Y for a sign pattern.
-
-    A chart (i, j) inverts x_i and y_j; an intersection is allowed iff its
-    first projections cover neg_x and second projections cover neg_y.
+    """Cohomology dims of Y for a sign pattern, from the Cech bicomplex of
+    the x- and y-chart covers: a cell (A, B) is allowed iff A covers neg_x
+    and B covers neg_y, so (2^m - 1)(2^n - 1) cells at most, where the cover
+    by the m*n charts {x_i y_j != 0} has 2^(m*n) - 1.
     """
     subsets = _pattern_subsets(SPACE_Y, m, n, (neg_x, neg_y))
     return chain_reduce_homology(*_cech_complex(subsets))
@@ -514,33 +518,61 @@ def _term_pattern(seq, space, twist, char, threshold=None):
     return pattern
 
 
+def _supersets(count: int, need: frozenset) -> list[tuple[int, ...]]:
+    """The nonempty subsets of range(count) that contain need, smallest first."""
+    free = [c for c in range(count) if c not in need]
+    return [
+        tuple(sorted(need.union(extra)))
+        for size in range(len(free) + 1)
+        for extra in itertools.combinations(free, size)
+        if need or extra
+    ]
+
+
 @lru_cache(maxsize=None)
 def _pattern_subsets(space: str, m: int, n: int, pattern) -> tuple:
-    """All chart subsets allowed for a sign pattern (upward-closed family).
+    """The Cech cells allowed for a sign pattern, with their faces.
 
-    A cover of more than CHART_LIMIT charts (2^CHART_LIMIT subsets) is
-    refused with Unsupported before any subset is enumerated.
+    A cell is a tuple of nonempty chart subsets, one per cover.  A side has
+    one cover, by its m (minus) or n (plus) charts.  Y has two: the x-charts
+    {x_i != 0} and the y-charts {y_j != 0}, and a cell (A, B) is the affine
+    chart intersection U_A meet V_B, so this is the Cech bicomplex of the two
+    covers.  A cell is allowed iff each subset contains the pattern's
+    negative coordinates on its cover.  Its Cech degree is the sum of the
+    subset sizes minus the number of covers; dropping the chart at position
+    pos of the k-th subset gives a face with sign (-1)^(e + pos), e the Cech
+    degree the earlier subsets carry.  Returns (cell, degree, faces) triples,
+    faces listing the allowed (face, sign) pairs.
+
+    A cover of more than CHART_LIMIT charts (on Y, the m*n charts
+    {x_i y_j != 0}) is refused with Unsupported before any cell is formed.
     """
     if pattern is None:
         return ()
     if space == SPACE_Y:
-        neg_x, neg_y = pattern
-        charts = [(i, j) for i in range(m) for j in range(n)]
-        allowed = lambda sub: neg_x <= {i for i, _ in sub} and neg_y <= {j for _, j in sub}
+        charts, needs = m * n, ((m, pattern[0]), (n, pattern[1]))
     else:
-        charts = list(range(m if space == SPACE_MINUS else n))
-        allowed = lambda sub: pattern <= set(sub)
-    if len(charts) > CHART_LIMIT:
+        charts = m if space == SPACE_MINUS else n
+        needs = ((charts, pattern),)
+    if charts > CHART_LIMIT:
         raise Unsupported(
-            f"a Cech cover of {len(charts)} charts has more than 2^{CHART_LIMIT} "
+            f"a Cech cover of {charts} charts has more than 2^{CHART_LIMIT} "
             "chart subsets"
         )
-    return tuple(
-        sub
-        for size in range(1, len(charts) + 1)
-        for sub in itertools.combinations(charts, size)
-        if allowed(sub)
-    )
+    cells = list(itertools.product(*(_supersets(count, need) for count, need in needs)))
+    family = set(cells)
+    out = []
+    for cell in cells:
+        faces = []
+        before = 0
+        for k, sub in enumerate(cell):
+            for pos in range(len(sub)):
+                face = cell[:k] + (sub[:pos] + sub[pos + 1 :],) + cell[k + 1 :]
+                if face in family:
+                    faces.append((face, -1 if (before + pos) % 2 else 1))
+            before += len(sub) - 1
+        out.append((cell, before, tuple(faces)))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -553,45 +585,66 @@ def _pattern_homology(space: str, m: int, n: int, pattern) -> dict:
     return _side_pattern_dims(count, pattern)
 
 
+def _cell_patterns(cx: MonomialComplex, cell: tuple[int, ...]) -> tuple:
+    """The ((d, i), sign pattern or None) pair of every term, in degree
+    order, at the characters of one cell of the complex's compiled tables.
+
+    Bit b is absent from masks[cell[c]] on coordinate c exactly when
+    (character - offset_b)[c] < 0, and on Y the extra coordinate's bit is
+    the flag da(character - offset_b) >= k1.  So the patterns are read off
+    the masks, with no character arithmetic, and equal _term_pattern of
+    character - offset per term.
+    """
+    space, m, n = cx.space, cx.seq.m, cx.seq.n
+    tables = cx.presence_tables
+    absent = [~masks[j] for (_, masks), j in zip(tables.coords, cell)]
+    flag_absent = absent[m + n] if space == SPACE_Y else 0
+    patterns = []
+    for d, group in zip(itertools.count(min(cx.terms, default=0)), tables.groups):
+        for bit, i in group:
+            pattern = None
+            if not flag_absent & bit:
+                pattern = _sign_pattern(
+                    space,
+                    frozenset(c for c in range(m) if absent[c] & bit),
+                    frozenset(c for c in range(n) if absent[m + c] & bit),
+                )
+            patterns.append(((d, i), pattern))
+    return tuple(patterns)
+
+
 _HYPER_MEMO: dict = {}
 
 
 def hypercohomology_strand(cx: MonomialComplex, char: Character) -> dict[int, int]:
     """Hypercohomology dims of the Cech double complex of cx at one character.
 
-    When no term has cohomology at the character, the answer is {} at once:
-    a bounded double complex with exact columns is exact.  Otherwise the
-    whole double complex is built and reduced.  It is a function of the
-    per-term sign patterns alone, so reductions are memoized by (complex
-    signature, pattern tuple).  Total degree = term degree + Cech degree.
-    Integral coefficients enter the reduction as ints, the rest as
-    Fractions.
+    The per-term sign patterns and flags come from the character's cell
+    (_cell_patterns).  When no term has cohomology at the character, the
+    answer is {} at once: a bounded double complex with exact columns is
+    exact.  Otherwise the whole double complex is built and reduced.  It is
+    a function of the per-term sign patterns alone, so reductions are
+    memoized by (complex signature, pattern tuple).  Total degree = term
+    degree + Cech degree.  Integral coefficients enter the reduction as
+    ints, the rest as Fractions.
     """
-    seq, space = cx.seq, cx.space
-    m, n = seq.m, seq.n
-    patterns = []
-    any_alive = False
-    for d in sorted(cx.terms):
-        for i, t in enumerate(cx.terms[d]):
-            p = _term_pattern(seq, space, t.twist, char - t.offset)
-            patterns.append(((d, i), p))
-            if not any_alive and _pattern_homology(space, m, n, p):
-                any_alive = True
-    if not any_alive:
+    space, m, n = cx.space, cx.seq.m, cx.seq.n
+    patterns = _cell_patterns(cx, cx.presence_tables.cell(char))
+    if not any(_pattern_homology(space, m, n, p) for _, p in patterns):
         return {}
-    key = (cx.signature, tuple(patterns))
+    key = (cx.signature, patterns)
     cached = _HYPER_MEMO.get(key)
     if cached is not None:
         return cached
 
-    subsets = {
+    families = {
         (d, i): _pattern_subsets(space, m, n, p) for (d, i), p in patterns
     }
     cells: dict[tuple, int] = {}
     entries: dict[tuple, int | Fraction] = {}
     # Cech coboundaries within each term.
-    for (d, i), subs in subsets.items():
-        term_cells, term_entries = _cech_complex(subs, (d, i), d)
+    for (d, i), family in families.items():
+        term_cells, term_entries = _cech_complex(family, (d, i), d)
         cells.update(term_cells)
         entries.update(term_entries)
     # Term differentials, sign-twisted by the Cech degree.
@@ -599,13 +652,14 @@ def hypercohomology_strand(cx: MonomialComplex, char: Character) -> dict[int, in
         for (i, j), coeff in tab.items():
             if coeff.denominator == 1:
                 coeff = coeff.numerator
-            for sub in subsets.get((d, i), ()):
-                if (d + 1, j, sub) not in cells:
+            for cell, cech_degree, _ in families.get((d, i), ()):
+                if (d + 1, j, cell) not in cells:
                     raise InconsistentDegrees(
                         "chart membership not monotone along a differential"
                     )
-                sign = -1 if (len(sub) - 1) % 2 else 1
-                entries[((d, i, sub), (d + 1, j, sub))] = coeff * sign
+                entries[((d, i, cell), (d + 1, j, cell))] = (
+                    -coeff if cech_degree % 2 else coeff
+                )
     result = chain_reduce_homology(cells, entries)
     _HYPER_MEMO[key] = result
     return result

@@ -122,6 +122,17 @@ class TestTransform:
         assert code == 0
         assert "I_3(-3)" in out
 
+    def test_no_closed_form_is_usage_error(self, capsys):
+        # No verification runs, so leaving the closed-form ranges is an
+        # input the command refuses, not a failed check.
+        for k in ("-3", "-1000000000"):
+            code, out, err = run(
+                capsys, "transform", "--seq", "1,1;1,1", "--functor", "F", f"--k={k}"
+            )
+            assert code == 2, k
+            assert err.startswith(f"error: term O({k}, 0) has no closed-form image")
+            assert "Traceback" not in err and out == ""
+
 
 class TestVerify:
     def test_roundtrip_passes(self, capsys):
@@ -171,6 +182,18 @@ class TestVerify:
         assert code == 2
         assert err.startswith("error: character box of size > 4000000")
         assert "Traceback" not in err and out == ""
+
+    def test_suite_without_closed_form_is_verification_error(self, capsys, monkeypatch):
+        import orbiflip.cli as cli
+        from orbiflip import PushforwardNotClosedForm
+
+        def raising(*args, **kwargs):
+            raise PushforwardNotClosedForm("term O(-3, 0) has no closed-form image on plus")
+
+        monkeypatch.setattr(cli, "serre_duality_suite", raising)
+        code, out, err = run(capsys, "verify", "--seq", "1,1;1,1", "--suite", "serre")
+        assert code == 1
+        assert err.startswith("verification error: term O(-3, 0)") and out == ""
 
     def test_serre_suite_json(self, capsys):
         code, out, _ = run(

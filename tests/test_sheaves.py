@@ -29,8 +29,12 @@ from orbiflip import (
     total_cohomology,
     wps_cohomology_totals,
 )
+from orbiflip.exact import chain_reduce_homology
 from orbiflip.functors import pull_complex
 from orbiflip.sheaves import (
+    _cell_patterns,
+    _term_pattern,
+    _y_pattern_dims,
     character_cohomology,
     hypercohomology_bounds,
     hypercohomology_strand,
@@ -176,7 +180,9 @@ class TestCechOracle:
         from orbiflip.sheaves import CHART_LIMIT, _pattern_subsets
 
         empty = frozenset()
-        assert len(_pattern_subsets("Y", 3, 4, (empty, empty))) == 2**12 - 1 == 2**CHART_LIMIT - 1
+        # 3 * 4 == CHART_LIMIT charts: the largest Y cover, as a bicomplex
+        # of (2^3 - 1)(2^4 - 1) cells.
+        assert len(_pattern_subsets("Y", 3, 4, (empty, empty))) == 7 * 15 == 105
         with pytest.raises(Unsupported):
             _pattern_subsets("minus", CHART_LIMIT + 1, 0, empty)
         with pytest.raises(Unsupported):
@@ -253,7 +259,7 @@ _HYPER_SEQS = ("1,2;1,1,1", "1,1;1,1", "1,3;1,1", "1,1;2,1")
 
 
 @st.composite
-def _hyper_cases(draw):
+def _hyper_cases(draw, images=("side", "Y", "dual", "Y dual")):
     """A Koszul or Euler cotangent complex on a side, as it is, pulled back to
     Y and tensored, or dualized, with bounds that cross the offset cuts."""
     s = seq(draw(st.sampled_from(_HYPER_SEQS)))
@@ -262,7 +268,7 @@ def _hyper_cases(draw):
         cx = exceptional_koszul(s, draw(st.sampled_from(["plus", "minus"])), d)
     else:
         cx = euler_cotangent_complex(s, "plus" if set(s.b) == {1} else "minus", d)
-    image = draw(st.sampled_from(["side", "Y", "dual", "Y dual"]))
+    image = draw(st.sampled_from(images))
     twist = st.integers(-3, 3)
     if image.startswith("Y"):
         cx = pull_complex(s, cx).tensor((draw(twist), draw(twist)))
@@ -283,6 +289,12 @@ def _hyper_cases(draw):
     return cx, (tuple(lows[: s.m]), tuple(lows[s.m :])), (tuple(highs[: s.m]), tuple(highs[s.m :]))
 
 
+def _box_characters(s, lows, highs):
+    ranges = [range(lo, hi + 1) for lo, hi in zip(lows[0] + lows[1], highs[0] + highs[1])]
+    for exps in itertools.product(*ranges):
+        yield Character(exps[: s.m], exps[s.m :])
+
+
 class TestChamberSweep:
     @settings(max_examples=80, deadline=None)
     @given(_hyper_cases())
@@ -292,10 +304,8 @@ class TestChamberSweep:
         # complex's reference degree.
         cx, lows, highs = case
         s = cx.seq
-        ranges = [range(lo, hi + 1) for lo, hi in zip(lows[0] + lows[1], highs[0] + highs[1])]
         brute = {}
-        for exps in itertools.product(*ranges):
-            ch = Character(exps[: s.m], exps[s.m :])
+        for ch in _box_characters(s, lows, highs):
             d = degree(s, cx.space, ch)
             if (d[0] - d[1] if cx.space == "Y" else d) != cx.reference_degree:
                 continue
@@ -303,6 +313,164 @@ class TestChamberSweep:
             if dims:
                 brute[ch] = dims
         assert hypercohomology_table_bounded(cx, lows, highs) == brute
+
+
+def _term_patterns(cx, ch):
+    """Reference: every term's pattern by character arithmetic."""
+    return tuple(
+        ((d, i), _term_pattern(cx.seq, cx.space, t.twist, ch - t.offset))
+        for d in sorted(cx.terms)
+        for i, t in enumerate(cx.terms[d])
+    )
+
+
+def _chart_cover_complex(m, n, pattern, tag=(), shift=0):
+    """Reference: the Cech complex of Y's cover by its m*n charts
+    {x_i y_j != 0}.  A chart subset is allowed iff its first projections
+    contain neg_x and its second projections neg_y; dropping the chart at
+    position pos gives a face with sign (-1)^pos."""
+    if pattern is None:
+        return {}, {}
+    neg_x, neg_y = pattern
+    charts = [(i, j) for i in range(m) for j in range(n)]
+    subsets = [
+        sub
+        for size in range(1, len(charts) + 1)
+        for sub in itertools.combinations(charts, size)
+        if neg_x <= {i for i, _ in sub} and neg_y <= {j for _, j in sub}
+    ]
+    cells = {tag + (sub,): shift + len(sub) - 1 for sub in subsets}
+    entries = {}
+    for sub in subsets:
+        for pos in range(len(sub)):
+            face = tag + (sub[:pos] + sub[pos + 1 :],)
+            if face in cells:
+                entries[(face, tag + (sub,))] = -1 if pos % 2 else 1
+    return cells, entries
+
+
+def _chart_cover_hypercohomology(cx, patterns):
+    """Reference: the Cech double complex of a complex on Y over the m*n
+    charts, for per-term patterns ((d, i), pattern), reduced in full."""
+    m, n = cx.seq.m, cx.seq.n
+    cells, entries = {}, {}
+    families = {}
+    for (d, i), pattern in patterns:
+        term_cells, term_entries = _chart_cover_complex(m, n, pattern, (d, i), d)
+        cells.update(term_cells)
+        entries.update(term_entries)
+        families[(d, i)] = [key[2] for key in term_cells]
+    for d, tab in cx.diffs.items():
+        for (i, j), coeff in tab.items():
+            for sub in families.get((d, i), ()):
+                assert (d + 1, j, sub) in cells
+                sign = -1 if (len(sub) - 1) % 2 else 1
+                entries[((d, i, sub), (d + 1, j, sub))] = coeff * sign
+    return chain_reduce_homology(cells, entries)
+
+
+def _checked_complex(cells, entries):
+    """Assert that (cells, entries) is a cochain complex: every entry raises
+    the degree by one and d o d = 0.  Returns the pair unchanged."""
+    outgoing = {}
+    for (src, tgt), coeff in entries.items():
+        assert cells[tgt] == cells[src] + 1, (src, tgt)
+        outgoing.setdefault(src, []).append((tgt, coeff))
+    for src, edges in outgoing.items():
+        square = {}
+        for mid, c1 in edges:
+            for tgt, c2 in outgoing.get(mid, ()):
+                square[tgt] = square.get(tgt, 0) + c1 * c2
+        assert not any(square.values()), src
+    return cells, entries
+
+
+def _subsets(count):
+    return [
+        frozenset(sub)
+        for size in range(count + 1)
+        for sub in itertools.combinations(range(count), size)
+    ]
+
+
+class TestTwoCoverBicomplex:
+    """The Cech bicomplex of the x- and y-chart covers of Y against the
+    cover by its m*n charts {x_i y_j != 0}."""
+
+    def test_pattern_dims_match_chart_cover(self):
+        patterns = [
+            (m, n, neg_x, neg_y)
+            for m, n in itertools.product(range(1, 4), repeat=2)
+            for neg_x in _subsets(m)
+            for neg_y in _subsets(n)
+        ]
+        assert len(patterns) == 196
+        for m, n, neg_x, neg_y in patterns:
+            reference = chain_reduce_homology(*_chart_cover_complex(m, n, (neg_x, neg_y)))
+            assert _y_pattern_dims(m, n, neg_x, neg_y) == reference, (m, n, neg_x, neg_y)
+
+    def test_bicomplex_is_a_complex(self):
+        # Dims alone do not see the signs: every face map here is a unit, so
+        # a sign error still leaves a matching of the same size.
+        from orbiflip.sheaves import _cech_complex, _pattern_subsets
+
+        for m, n in itertools.product(range(1, 4), repeat=2):
+            for neg_x in _subsets(m):
+                for neg_y in _subsets(n):
+                    _checked_complex(*_cech_complex(_pattern_subsets("Y", m, n, (neg_x, neg_y))))
+
+    @settings(max_examples=25, deadline=None)
+    @given(_hyper_cases(images=("Y", "Y dual")))
+    def test_strand_matches_chart_cover_double_complex(self, case):
+        # The reference is reduced once per distinct pattern tuple; every
+        # character of the reference degree is compared.
+        # Each double complex the strand reduces is checked to be a complex.
+        from orbiflip import sheaves
+
+        cx, lows, highs = case
+        s = cx.seq
+        references = {}
+        checked = lambda cells, entries: chain_reduce_homology(
+            *_checked_complex(cells, entries)
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sheaves, "chain_reduce_homology", checked)
+            for ch in _box_characters(s, lows, highs):
+                da, db = degree(s, "Y", ch)
+                if da - db != cx.reference_degree:
+                    continue
+                patterns = _term_patterns(cx, ch)
+                if patterns not in references:
+                    references[patterns] = _chart_cover_hypercohomology(cx, patterns)
+                assert hypercohomology_strand(cx, ch) == references[patterns], ch
+
+    def test_y_cover_over_the_limit_refused_before_any_cell(self, monkeypatch):
+        from orbiflip import Unsupported
+        from orbiflip import sheaves
+
+        def no_cells(*args):
+            raise AssertionError("a cell was formed")
+
+        monkeypatch.setattr(sheaves, "_supersets", no_cells)
+        empty = frozenset()
+        for m, n in ((1, 13), (2, 7), (4, 4)):
+            with pytest.raises(Unsupported) as info:
+                sheaves._pattern_subsets("Y", m, n, (empty, empty))
+            assert str(info.value) == (
+                f"a Cech cover of {m * n} charts has more than 2^12 chart subsets"
+            )
+
+
+class TestCellPatterns:
+    @settings(max_examples=40, deadline=None)
+    @given(_hyper_cases())
+    def test_match_term_patterns(self, case):
+        # The patterns read off a cell's masks equal the per-term patterns of
+        # character - offset, on every character of the box.
+        cx, lows, highs = case
+        cell = cx.presence_tables.cell
+        for ch in _box_characters(cx.seq, lows, highs):
+            assert _cell_patterns(cx, cell(ch)) == _term_patterns(cx, ch), ch
 
 
 class TestExceptionalKoszul:
