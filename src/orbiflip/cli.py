@@ -205,8 +205,14 @@ def cmd_verify(args) -> int:
 
     for suite in suites:
         if suite == "roundtrip":
-            if require(suite, seq.m >= 2 and seq.n >= 2, "round trips need m, n >= 2") and require(
-                suite, seq.sum_a <= seq.sum_b, "sum(a) > sum(b); swap sides"
+            if (
+                require(suite, seq.m >= 2 and seq.n >= 2, "round trips need m, n >= 2")
+                and require(suite, seq.sum_a <= seq.sum_b, "sum(a) > sum(b); swap sides")
+                # --suite roundtrip leaves this refusal to equivalence_suite,
+                # whose message names the k-range.
+                and require(
+                    suite, max(ks) >= 0 or not run_all, "round trips are stated for k >= 0"
+                )
             ):
                 # round trips derive their own box from k + sum(a) + sum(b)
                 reports.append(equivalence_suite(seq, ks))
@@ -275,6 +281,8 @@ def cmd_cohomology(args) -> int:
         twist = (_parse_int(parts[0], "twist"), _parse_int(parts[1], "twist"))
     else:
         twist = _parse_int(args.twist, "twist")
+    if args.space == SPACE_Y and args.threshold is not None:
+        raise ParseError("--threshold sets an ideal sheaf on minus or plus, not on Y")
     table = cohomology_table(
         seq, args.space, twist, args.box, threshold=args.threshold
     )

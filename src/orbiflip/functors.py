@@ -44,10 +44,14 @@ from .linalg import (
 )
 from .resolution import build_resolution, check_threshold
 from .sheaves import (
+    cohomology_table,
     euler_cotangent_complex,
+    hypercohomology_bounds,
     hypercohomology_table,
+    hypercohomology_table_bounded,
     pushforward_rule,
     total_cohomology,
+    wps_cohomology_totals,
 )
 from .weights import WeightSequence, is_well_formed
 
@@ -227,9 +231,6 @@ class VerificationReport:
             "children": [c.to_json_dict() for c in self.children],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
-
 
 def _require_roundtrip_preconditions(seq: WeightSequence):
     if not is_well_formed(seq):
@@ -275,14 +276,14 @@ def roundtrip_check(seq: WeightSequence, k: int, pair: str) -> VerificationRepor
     """Check that a composite round trip fixes O(k) on the minus side.
 
     pair is one of GF, HF, G'F', H'F'.  The composite complex is compared
-    against the single twist O(k) strand by strand at every character of
-    degree k with nonnegative exponents in a box whose degree scale exceeds
-    k + sum(a) + sum(b): homology must be one-dimensional in degree 0 exactly
-    at the section characters.  The characters are not visited one by one:
-    count_presence counts them per joint presence cell of the composite and
-    O(k), one strand is reduced per pattern of the composite, and each
-    cell's count goes to strands_checked (and to the mismatches when its
-    homology differs from O(k)'s).  Only the reported first mismatches and
+    against O(k) strand by strand at every character of degree k with
+    nonnegative exponents in a box whose degree scale exceeds
+    k + sum(a) + sum(b).  Each such character is a section of O(k), so the
+    composite's strand homology must be one-dimensional in degree 0 there.
+    The characters are not visited one by one: count_presence counts them
+    per presence mask of the composite, one strand is reduced per mask, and
+    each mask's count goes to strands_checked (and to the mismatches when
+    its homology is not {0: 1}).  Only the reported first mismatches and
     matched samples come from a scan in enumeration order, which stops once
     the counts say they are all found.  Characters with a negative exponent
     are checked all at once: when every term offset of the composite is
@@ -306,30 +307,24 @@ def roundtrip_check(seq: WeightSequence, k: int, pair: str) -> VerificationRepor
         for t in ts
         if not t.offset.is_nonnegative()
     ]
-    # Strand homology is a function of the composite's presence pattern
-    # alone, so each pattern builds and checks its strand once, from the
-    # first character of its first cell; a cell's characters are counted.
-    target = single_twist_complex(seq, SPACE_MINUS, k)
-    cells = count_presence((out, target), k, low=low, high=caps)
-    memo: dict = {}
-    outcome = {}
-    checked = wrong = matched = 0
-    for key, (count, ch) in cells.items():
-        pattern, present = key
-        hom = memo.get(pattern)
-        if hom is None:
-            st = strand(out, ch)
-            hom = st.homology()
-            if sum((-1) ** d * h for d, h in hom.items()) != st.euler_characteristic():
-                raise InconsistentDegrees("strand Euler characteristic broke")
-            memo[pattern] = hom
-        expected = {0: 1} if present else {}
-        outcome[key] = hom, expected
+    # Every character of the box has exponents >= 0 and minus-degree k, so
+    # it is a section of O(k), whose strand there is one-dimensional in
+    # degree 0.  Strand homology is a function of the composite's presence
+    # mask alone, so each mask builds and checks its strand once, from the
+    # first character of its cell; the cell's characters are counted.
+    expected = {0: 1}
+    cells = count_presence(out, k, low=low, high=caps)
+    homology = {}
+    checked = wrong = 0
+    for mask, (count, ch) in cells.items():
+        st = strand(out, ch)
+        hom = homology[mask] = st.homology()
+        if sum((-1) ** d * h for d, h in hom.items()) != st.euler_characteristic():
+            raise InconsistentDegrees("strand Euler characteristic broke")
         checked += count
         if hom != expected:
             wrong += count
-        elif hom:
-            matched += count
+    matched = checked - wrong
     mismatch_count = len(mismatches) + wrong
     # The report lists the first mismatches and matches in enumeration
     # order: scan until the quotas that the counts allow are met.
@@ -337,9 +332,9 @@ def roundtrip_check(seq: WeightSequence, k: int, pair: str) -> VerificationRepor
     want_matched = min(3, matched)
     sample = []
     if len(mismatches) < quota or want_matched:
-        rules = (out.presence_tables, target.presence_tables)
+        mask_of = out.presence_tables.mask
         for ch in characters_of_degree(seq, SPACE_MINUS, k, low=low, high=caps):
-            hom, expected = outcome[tuple(rule.mask(ch) for rule in rules)]
+            hom = homology[mask_of(ch)]
             if hom != expected:
                 if len(mismatches) < quota:
                     mismatches.append(
@@ -347,7 +342,7 @@ def roundtrip_check(seq: WeightSequence, k: int, pair: str) -> VerificationRepor
                          "got": {str(d): h for d, h in hom.items()},
                          "want": {str(d): h for d, h in expected.items()}}
                     )
-            elif hom and len(sample) < want_matched:
+            elif len(sample) < want_matched:
                 sample.append([list(ch.alpha), list(ch.beta)])
             if len(mismatches) == quota and len(sample) == want_matched:
                 break
@@ -375,8 +370,6 @@ def _common_hom_tables(left: MonomialComplex, right: MonomialComplex, box: int):
     offset envelopes; graded dimensions are compared on the intersection of
     the box-padded regions so neither table sees strands the other skipped.
     """
-    from .sheaves import hypercohomology_bounds, hypercohomology_table_bounded
-
     (l_lo, l_hi) = hypercohomology_bounds(left, box)
     (r_lo, r_hi) = hypercohomology_bounds(right, box)
     lows = (
@@ -387,15 +380,10 @@ def _common_hom_tables(left: MonomialComplex, right: MonomialComplex, box: int):
         tuple(map(min, l_hi[0], r_hi[0])),
         tuple(map(min, l_hi[1], r_hi[1])),
     )
-
-    def table(cx):
-        raw = hypercohomology_table_bounded(cx, lows, highs)
-        return {
-            (ch.alpha, ch.beta): {d: h for d, h in dims.items()}
-            for ch, dims in raw.items()
-        }
-
-    return table(left), table(right)
+    return (
+        hypercohomology_table_bounded(left, lows, highs),
+        hypercohomology_table_bounded(right, lows, highs),
+    )
 
 
 def adjunction_check(
@@ -511,8 +499,6 @@ def pushforward_oracle_suite(
     q = -sum(b) has no closed form: the rule reports NotClosedForm and the
     oracle exhibits the nonzero top direct image on the exceptional fiber.
     """
-    from .sheaves import cohomology_table, wps_cohomology_totals
-
     if seq.m < 2 or seq.n < 2:
         raise Unsupported("pushforward suites need m, n >= 2")
     rows = []
@@ -565,8 +551,6 @@ def serre_duality_suite(weight_lists, k_bound: int = 12) -> VerificationReport:
     Exact totals (the contributing character regions are finite), swept over
     |k| <= k_bound for each weight list.
     """
-    from .sheaves import wps_cohomology_totals
-
     rows = []
     ok = True
     for weights in weight_lists:

@@ -26,7 +26,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import and_, mul
+from operator import mul
 from typing import Callable, Iterator, NamedTuple
 
 from .errors import BoxTooLarge, InconsistentDegrees, Unsupported
@@ -133,14 +133,14 @@ def is_section(seq: WeightSequence, space: str, twist, char: Character) -> bool:
     return d == twist
 
 
-def _enumeration_plan(seq: WeightSequence, low, high, limit: int):
+def _enumeration_plan(seq: WeightSequence, low, high):
     """Flattened weights and bounds of a character box, the coordinate that
     the degree equation solves (one of largest weight) and the free ones.
 
     `low` and `high` are int bounds for every exponent or (alpha_bounds,
-    beta_bounds) pairs.  A box whose free coordinates span more than `limit`
-    points is refused with BoxTooLarge; the count stops at the first partial
-    product over the limit.
+    beta_bounds) pairs.  A box whose free coordinates span more than
+    ENUMERATION_LIMIT points, read at call time, is refused with
+    BoxTooLarge; the count stops at the first partial product over the limit.
     """
     size = seq.m + seq.n
     weights = list(seq.a) + [-w for w in seq.b]
@@ -157,25 +157,19 @@ def _enumeration_plan(seq: WeightSequence, low, high, limit: int):
     total = 1
     for c in free:
         total *= max(highs[c] - lows[c] + 1, 0)
-        if total > limit:
-            raise BoxTooLarge(f"character box of size > {limit}")
+        if total > ENUMERATION_LIMIT:
+            raise BoxTooLarge(f"character box of size > {ENUMERATION_LIMIT}")
     return weights, lows, highs, solve_at, free
 
 
 def check_box(seq: WeightSequence, *, low, high) -> None:
     """Raise BoxTooLarge for exactly the boxes characters_of_degree refuses."""
     if seq.m + seq.n:
-        _enumeration_plan(seq, low, high, ENUMERATION_LIMIT)
+        _enumeration_plan(seq, low, high)
 
 
 def characters_of_degree(
-    seq: WeightSequence,
-    space: str,
-    value,
-    *,
-    low,
-    high,
-    limit: int = ENUMERATION_LIMIT,
+    seq: WeightSequence, space: str, value, *, low, high
 ) -> Iterator[Character]:
     """All characters in a box satisfying the space's degree equation.
 
@@ -189,7 +183,7 @@ def characters_of_degree(
         value = -value
     if seq.m + seq.n == 0:
         return
-    weights, lows, highs, solve_at, free = _enumeration_plan(seq, low, high, limit)
+    weights, lows, highs, solve_at, free = _enumeration_plan(seq, low, high)
     if not all(lows[c] <= highs[c] for c in free):
         return
 
@@ -441,11 +435,8 @@ class MonomialComplex:
         }
 
 
-def single_twist_complex(
-    seq: WeightSequence, space: str, twist, degree_at: int = 0, offset: Character | None = None
-) -> MonomialComplex:
-    off = offset if offset is not None else zero_character(seq)
-    return MonomialComplex(seq, space, {degree_at: [Term(twist, off)]}, {})
+def single_twist_complex(seq: WeightSequence, space: str, twist) -> MonomialComplex:
+    return MonomialComplex(seq, space, {0: [Term(twist, zero_character(seq))]}, {})
 
 
 @dataclass(frozen=True)
@@ -581,40 +572,38 @@ def compile_presence_tables(cx: MonomialComplex) -> PresenceTables:
     return PresenceTables(coords, cell, mask, groups)
 
 
-def count_presence(
-    complexes, value, *, low, high
-) -> dict[tuple[int, ...], tuple[int, Character]]:
+def count_presence(cx: MonomialComplex, value, *, low, high) -> dict[int, tuple[int, Character]]:
     """Count the characters of characters_of_degree(seq, "minus", value,
-    low=low, high=high) per joint presence pattern of complexes on the minus
-    side, without visiting each.
+    low=low, high=high) per presence mask of a minus-side complex, without
+    visiting each.
 
-    Returns {(mask per complex): (count, first character in enumeration
-    order)}, the masks as PresenceTables.mask gives them.  Presence is
-    constant on a product of per-coordinate intervals between the cuts, so a
-    DP runs over the coordinates of _enumeration_plan: the free ones in
-    order, the state being (partial degree, mask per complex), and the
-    solved one last from the degree equation.  Partial degrees the remaining
-    coordinates cannot bring to the value are dropped.  Each cell's key is
-    read off its representative with PresenceTables.mask.  Boxes are refused
-    exactly as characters_of_degree refuses them.  Complexes on any other
-    side are refused.
+    Returns {mask: (count, first character in enumeration order)}, the masks
+    as PresenceTables.mask gives them.  Presence is constant on a product of
+    per-coordinate intervals between the cuts, so a DP runs over the
+    coordinates of _enumeration_plan: the free ones in order, the state
+    being (partial degree, mask so far), and the solved one last from the
+    degree equation.  Partial degrees the remaining coordinates cannot bring
+    to the value are dropped.  Each cell's mask is read off its
+    representative with PresenceTables.mask.  Boxes are refused exactly as
+    characters_of_degree refuses them.  A complex on any other side is
+    refused.
     """
-    if any(cx.space != SPACE_MINUS for cx in complexes):
+    if cx.space != SPACE_MINUS:
         raise Unsupported("presence cells are counted on the minus side only")
-    seq = complexes[0].seq
+    seq = cx.seq
     if seq.m + seq.n == 0:
         return {}
-    weights, lows, highs, solve_at, free = _enumeration_plan(seq, low, high, ENUMERATION_LIMIT)
-    tables = [cx.presence_tables for cx in complexes]
+    weights, lows, highs, solve_at, free = _enumeration_plan(seq, low, high)
+    tables = cx.presence_tables
 
     def runs(c):
-        # Maximal subranges of coordinate c on which every mask is constant.
+        # Maximal subranges of coordinate c on which its mask is constant.
         lo, hi = lows[c], highs[c]
-        starts = sorted({lo} | {t for tab in tables for t in tab.coords[c][0] if lo < t <= hi})
+        cuts, masks = tables.coords[c]
+        starts = [lo] + [t for t in cuts if lo < t <= hi]
         ends = [t - 1 for t in starts[1:]] + [hi]
         return [
-            (first, last, tuple(masks[bisect_right(cuts, first)]
-                                for cuts, masks in (tab.coords[c] for tab in tables)))
+            (first, last, masks[bisect_right(cuts, first)])
             for first, last in zip(starts, ends)
         ]
 
@@ -627,14 +616,14 @@ def count_presence(
         ends = (weights[c] * lows[c], weights[c] * highs[c])
         reach[j] = (reach[j + 1][0] + min(ends), reach[j + 1][1] + max(ends))
 
-    states = {(0, (-1,) * len(tables)): (1, ())}
+    states = {(0, -1): (1, ())}
     for j, c in enumerate(free):
         w, cut_runs = weights[c], runs(c)
         least, most = value - reach[j + 1][1], value - reach[j + 1][0]
         grown: dict = {}
-        for (partial, masks), (count, rep) in states.items():
+        for (partial, mask), (count, rep) in states.items():
             for first, last, cut in cut_runs:
-                joint = tuple(map(and_, masks, cut))
+                joint = mask & cut
                 for e in range(first, last + 1):
                     total = partial + w * e
                     if total < least or total > most:
@@ -644,7 +633,7 @@ def count_presence(
                     grown[key] = (count, rep + (e,)) if hit is None else (hit[0] + count, hit[1])
         states = grown
 
-    cells: dict[tuple[int, ...], tuple[int, Character]] = {}
+    cells: dict[int, tuple[int, Character]] = {}
     w_solve, lo_solve, hi_solve = weights[solve_at], lows[solve_at], highs[solve_at]
     m, full = seq.m, [0] * len(weights)
     for (partial, _), (count, rep) in states.items():
@@ -655,7 +644,7 @@ def count_presence(
             full[c] = e
         full[solve_at] = rem // w_solve
         character = Character(tuple(full[:m]), tuple(full[m:]))
-        key = tuple(tab.mask(character) for tab in tables)
+        key = tables.mask(character)
         hit = cells.get(key)
         cells[key] = (count, character) if hit is None else (hit[0] + count, hit[1])
     return cells

@@ -456,20 +456,21 @@ def wps_cohomology_totals(weights, k: int) -> list[int]:
     P(weights), degree by degree.
 
     The per-character oracle vanishes off the two finite regions alpha >= 0
-    and alpha <= -1, so the totals need no box: both regions are enumerated
-    completely and each character is fed through the honest pattern complex.
+    and alpha <= -1, so the totals need no box.  Each region is one cell:
+    its characters all have the sign pattern of no inverted chart, or of all
+    of them.  So a region adds its number of characters of degree k (the
+    monomials of degree k, and of degree -k - sum(weights) by
+    alpha = -1 - mu) times its pattern's dims.  character_cohomology is the
+    per-character reference.
     """
-    weights = tuple(weights)
+    weights = WeightSequence(weights, ()).a
     m = len(weights)
-    seq = WeightSequence(weights, ())
     dims = [0] * m
-    for mu in monomials_of_weighted_degree(weights, k):
-        for d, h in character_cohomology(seq, SPACE_MINUS, k, Character(mu, ())).items():
-            dims[d] += h
-    for mu in monomials_of_weighted_degree(weights, -k - sum(weights)):
-        ch = Character(tuple(-1 - e for e in mu), ())
-        for d, h in character_cohomology(seq, SPACE_MINUS, k, ch).items():
-            dims[d] += h
+    for d, neg in ((k, frozenset()), (-k - sum(weights), frozenset(range(m)))):
+        count = len(monomials_of_weighted_degree(weights, d))
+        if count:
+            for i, h in _side_pattern_dims(m, neg).items():
+                dims[i] += count * h
     return dims
 
 

@@ -161,6 +161,18 @@ class TestVerify:
         assert "k >= 0" in err
         assert "round trips" not in out
 
+    def test_all_suites_skip_round_trips_without_nonnegative_k(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--seq", "1,1;1,1", "--suite", "all",
+            "--k-min", "-2", "--k-max", "-1", "--json",
+        )
+        assert code == 0
+        data = json.loads(out)
+        skip = {"suite": "roundtrip", "reason": "round trips are stated for k >= 0"}
+        assert skip in data["skipped"]
+        assert "equivalence suite" not in [r["title"] for r in data["suites"]]
+        assert data["verdict"] is True
+
     def test_roundtrip_k_range_above_threshold_cap_refused_up_front(self, capsys):
         # k = 65 exceeds the resolution cap; the refusal comes before the
         # round trips for k = 0..64 run, so the command returns at once.
@@ -243,6 +255,16 @@ class TestCohomology:
         code, _, _ = run(capsys, "cohomology", "--seq", "1,1;", "--space", "Y",
                          "--twist", "3")
         assert code == 2
+
+    def test_threshold_on_y_is_usage_error(self, capsys):
+        # Y carries no ideal sheaf: a threshold there was silently ignored.
+        code, out, err = run(
+            capsys, "cohomology", "--seq", "1,1;1,1", "--space", "Y",
+            "--twist", "1,1", "--threshold", "5", "--json",
+        )
+        assert code == 2
+        assert err.startswith("error: ") and "threshold" in err
+        assert out == ""
 
     def test_non_integer_twist(self, capsys):
         for argv in (

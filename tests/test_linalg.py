@@ -446,9 +446,10 @@ class TestPresenceCounts:
         st.data(),
     )
     def test_matches_per_character_count(self, text, k, pair, image, off, data):
-        # Cells against a Counter over every character of the box, keyed by
-        # the per-term section rule; each representative is the first
-        # character of its cell in enumeration order.
+        # Cells of the composite and of O(k), each counted on its own,
+        # against a Counter over every character of the box keyed by the
+        # per-term section rule; each representative is the first character
+        # of its cell in enumeration order.
         from collections import Counter
 
         from hypothesis import assume
@@ -473,22 +474,20 @@ class TestPresenceCounts:
             ),
         }
         value = k + off
-        pattern = lambda ch: tuple(_per_term_bases(cx, ch) for cx in complexes)
         chars = list(characters_of_degree(s, "minus", value, **box))
-        firsts: dict = {}
-        for ch in chars:
-            firsts.setdefault(pattern(ch), ch)
+        for cx in complexes:
+            patterns = [_per_term_bases(cx, ch) for ch in chars]
+            firsts: dict = {}
+            for p, ch in zip(patterns, chars):
+                firsts.setdefault(p, ch)
 
-        cells = count_presence(complexes, value, **box)
-        decoded = {
-            tuple(cx.presence_tables.bases(m) for cx, m in zip(complexes, key)): cell
-            for key, cell in cells.items()
-        }
-        assert len(decoded) == len(cells)
-        assert {p: count for p, (count, _) in decoded.items()} == Counter(map(pattern, chars))
-        assert list(decoded.items()) == [(p, (decoded[p][0], ch)) for p, ch in firsts.items()]
-        for key, (_, ch) in cells.items():
-            assert tuple(cx.presence_tables.mask(ch) for cx in complexes) == key
+            cells = count_presence(cx, value, **box)
+            decoded = {cx.presence_tables.bases(mask): cell for mask, cell in cells.items()}
+            assert len(decoded) == len(cells)
+            assert {p: count for p, (count, _) in decoded.items()} == Counter(patterns)
+            assert list(decoded.items()) == [(p, (decoded[p][0], ch)) for p, ch in firsts.items()]
+            for mask, (_, ch) in cells.items():
+                assert cx.presence_tables.mask(ch) == mask
 
     def test_box_too_large_refused_like_the_enumeration(self):
         from orbiflip import BoxTooLarge, single_twist_complex
@@ -500,12 +499,12 @@ class TestPresenceCounts:
             with pytest.raises(BoxTooLarge):
                 next(characters_of_degree(s, "minus", 0, low=0, high=high))
             with pytest.raises(BoxTooLarge, match="character box of size > 4000000"):
-                count_presence((cx,), 0, low=0, high=high)
+                count_presence(cx, 0, low=0, high=high)
         # 158^3 free points, just under the limit: the pairs (alpha, beta) of
         # equal sum t, counted per t.
         pairs = lambda t: min(t, 314 - t) + 1
-        assert count_presence((cx,), 0, low=0, high=157) == {
-            (1,): (sum(pairs(t) ** 2 for t in range(315)), Character((0, 0), (0, 0)))
+        assert count_presence(cx, 0, low=0, high=157) == {
+            1: (sum(pairs(t) ** 2 for t in range(315)), Character((0, 0), (0, 0)))
         }
 
     def test_empty_box_and_other_sides_refused(self):
@@ -514,11 +513,26 @@ class TestPresenceCounts:
 
         s = seq("1,2;1,1,1")
         cx = single_twist_complex(s, "minus", 1)
-        assert count_presence((cx,), 1, low=1, high=0) == {}
+        assert count_presence(cx, 1, low=1, high=0) == {}
         for space, twist in (("plus", 1), ("module", 1), ("Y", (1, 0))):
             other = single_twist_complex(s, space, twist)
             with pytest.raises(Unsupported, match="minus side only"):
-                count_presence((cx, other), 1, low=0, high=2)
+                count_presence(other, 1, low=0, high=2)
+
+    @pytest.mark.parametrize("text", ["1,1;1,1", "1,2;1,1,1", "1,2,3;1,5", "1,1;2,1"])
+    def test_target_mask_is_constant_over_the_roundtrip_box(self, text):
+        # roundtrip_check expects {0: 1} at every character of its box
+        # without building O(k): every such character has exponents >= 0 and
+        # minus-degree k, so O(k)'s one term is present there.
+        from orbiflip import single_twist_complex
+        from orbiflip.functors import _roundtrip_caps
+
+        s = seq(text)
+        for k in range(7):
+            low, caps = _roundtrip_caps(s, k)
+            mask = single_twist_complex(s, "minus", k).presence_tables.mask
+            chars = list(characters_of_degree(s, "minus", k, low=low, high=caps))
+            assert chars and all(mask(ch) == 1 for ch in chars)
 
 
 def _brute_characters(s, space, value, lows, highs):
@@ -576,9 +590,11 @@ class TestCharacterEnumeration:
         s = seq("1,2;1")
         assert list(characters_of_degree(s, "minus", 0, low=1, high=0)) == []
 
-    def test_box_limit_checked(self):
+    def test_box_limit_checked(self, monkeypatch):
+        import orbiflip.linalg as linalg
         from orbiflip import BoxTooLarge
 
+        monkeypatch.setattr(linalg, "ENUMERATION_LIMIT", 100)
         s = seq("1,1,1;1")
         with pytest.raises(BoxTooLarge):
-            next(characters_of_degree(s, "minus", 0, low=0, high=9, limit=100))
+            next(characters_of_degree(s, "minus", 0, low=0, high=9))

@@ -31,6 +31,7 @@ from orbiflip import (
 )
 from orbiflip.exact import chain_reduce_homology
 from orbiflip.functors import pull_complex
+from orbiflip.linalg import characters_of_degree
 from orbiflip.sheaves import (
     _cell_patterns,
     _term_pattern,
@@ -165,6 +166,19 @@ class TestCechOracle:
                 left = wps_cohomology_totals(w, k)
                 right = wps_cohomology_totals(w, -sum(w) - k)
                 assert left == right[::-1]
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.integers(1, 5), min_size=1, max_size=3), st.integers(-12, 12))
+    def test_wps_totals_match_per_character_sum(self, w, k):
+        # For |k| <= 12 the box |alpha_i| <= 13 holds both regions: alpha_i <=
+        # k / w_i on the nonnegative one, and alpha_i = -1 - mu_i >= -12 on
+        # the negative one, mu of degree -k - sum(w) <= 11.
+        s = WeightSequence(tuple(w), ())
+        want = [0] * len(w)
+        for ch in characters_of_degree(s, "minus", k, low=-13, high=13):
+            for d, h in character_cohomology(s, "minus", k, ch).items():
+                want[d] += h
+        assert wps_cohomology_totals(w, k) == want
 
     def test_threshold_ideal_table(self):
         # I_1^-(0) on the minus side: sections need weighted y-degree >= 1.
