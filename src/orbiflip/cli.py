@@ -281,8 +281,6 @@ def cmd_cohomology(args) -> int:
         twist = (_parse_int(parts[0], "twist"), _parse_int(parts[1], "twist"))
     else:
         twist = _parse_int(args.twist, "twist")
-    if args.space == SPACE_Y and args.threshold is not None:
-        raise ParseError("--threshold sets an ideal sheaf on minus or plus, not on Y")
     table = cohomology_table(
         seq, args.space, twist, args.box, threshold=args.threshold
     )

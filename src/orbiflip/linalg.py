@@ -572,6 +572,16 @@ def compile_presence_tables(cx: MonomialComplex) -> PresenceTables:
     return PresenceTables(coords, cell, mask, groups)
 
 
+def interval_runs(cuts, lo: int, hi: int) -> list[tuple[int, int, int]]:
+    """The maximal runs first..last of lo..hi on which bisect_right(cuts, .)
+    is constant, in order, each with that interval index; none when lo > hi.
+    cuts is sorted and distinct, as in PresenceTables.coords."""
+    starts = [lo] + [t for t in cuts if lo < t <= hi]
+    ends = [t - 1 for t in starts[1:]] + [hi]
+    index = bisect_right(cuts, lo)
+    return [(a, b, index + j) for j, (a, b) in enumerate(zip(starts, ends))] if lo <= hi else []
+
+
 def count_presence(cx: MonomialComplex, value, *, low, high) -> dict[int, tuple[int, Character]]:
     """Count the characters of characters_of_degree(seq, "minus", value,
     low=low, high=high) per presence mask of a minus-side complex, without
@@ -579,7 +589,7 @@ def count_presence(cx: MonomialComplex, value, *, low, high) -> dict[int, tuple[
 
     Returns {mask: (count, first character in enumeration order)}, the masks
     as PresenceTables.mask gives them.  Presence is constant on a product of
-    per-coordinate intervals between the cuts, so a DP runs over the
+    per-coordinate runs between the cuts (interval_runs), so a DP runs over the
     coordinates of _enumeration_plan: the free ones in order, the state
     being (partial degree, mask so far), and the solved one last from the
     degree equation.  Partial degrees the remaining coordinates cannot bring
@@ -596,17 +606,6 @@ def count_presence(cx: MonomialComplex, value, *, low, high) -> dict[int, tuple[
     weights, lows, highs, solve_at, free = _enumeration_plan(seq, low, high)
     tables = cx.presence_tables
 
-    def runs(c):
-        # Maximal subranges of coordinate c on which its mask is constant.
-        lo, hi = lows[c], highs[c]
-        cuts, masks = tables.coords[c]
-        starts = [lo] + [t for t in cuts if lo < t <= hi]
-        ends = [t - 1 for t in starts[1:]] + [hi]
-        return [
-            (first, last, masks[bisect_right(cuts, first)])
-            for first, last in zip(starts, ends)
-        ]
-
     # reach[j]: least and greatest sum of weight * exponent over the
     # coordinates from the j-th free one on, the solved one included.
     order = free + [solve_at]
@@ -618,7 +617,10 @@ def count_presence(cx: MonomialComplex, value, *, low, high) -> dict[int, tuple[
 
     states = {(0, -1): (1, ())}
     for j, c in enumerate(free):
-        w, cut_runs = weights[c], runs(c)
+        w, (cuts, masks) = weights[c], tables.coords[c]
+        cut_runs = [
+            (first, last, masks[i]) for first, last, i in interval_runs(cuts, lows[c], highs[c])
+        ]
         least, most = value - reach[j + 1][1], value - reach[j + 1][0]
         grown: dict = {}
         for (partial, mask), (count, rep) in states.items():

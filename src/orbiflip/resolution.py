@@ -70,6 +70,16 @@ def monomials_of_weighted_degree(weights: tuple[int, ...], d: int) -> tuple[tupl
     return tuple(out)
 
 
+def monomial_counts(weights, top: int) -> list[int]:
+    """counts[d]: the number of monomials of weighted degree d, for
+    0 <= d < top, by coin change over the weights; none are listed."""
+    counts = [1] + [0] * (top - 1) if top > 0 else []
+    for w in weights:
+        for d in range(w, top):
+            counts[d] += counts[d - w]
+    return counts
+
+
 def _decreasing_order(weights) -> list[int]:
     """Variable indices by decreasing weight, ties by index: I_k is stable in
     this order."""
@@ -274,14 +284,9 @@ def _check_hilbert_series(weights, k: int, rows) -> None:
     """Raise unless sum_l (-1)^(l-1) beta_l(t) = 1 - P(t) prod_i (1 - t^w_i),
     beta_l read off the count rows (rows[l][e] twists of degree e)."""
     top = k + sum(weights)
-    # P(t) by coin change over the weights, truncated below k, then times
-    # each (1 - t^w); the product has degree below top.
-    series = [0] * top
-    if k:
-        series[0] = 1
-    for w in weights:
-        for d in range(w, k):
-            series[d] += series[d - w]
+    # P(t), truncated below k, times each (1 - t^w); the product has degree
+    # below top.
+    series = monomial_counts(weights, k) + [0] * (top - k)
     for w in weights:
         for d in range(top - 1, w - 1, -1):
             series[d] -= series[d - w]

@@ -24,22 +24,19 @@ threshold ideal sheaves, one threshold flag, so homology dimensions are
 memoized per pattern.  Hypercohomology of complexes of twists runs the full
 Cech double complex per strand through exact chain reduction.
 
-Sweeps work per chamber, not per character.  cohomology_table reads the
-pattern homology of each sign orthant of the box once and enumerates only
-the orthants where it is nonzero, testing the flag per character.
-hypercohomology_table_bounded keys characters by their cell in the compiled
-tables of the complex (linalg.compile_presence_tables) and reduces one
-double complex per cell.  The cell fixes every term's pattern and flag, and
-_cell_patterns reads them off its masks: term b needs coordinate c inverted
-iff its bit is absent from the mask of the cell's interval on c, and on Y it
-passes the flag iff its bit is present on the extra da coordinate.
-character_cohomology and hypercohomology_strand are the per-character
-references.
+One sweep serves both tables, cell by cell (_cell_sweep): O(twist) is a
+one-term complex, and a threshold is one more cut on da.  A cell of the
+compiled tables (linalg.compile_presence_tables) fixes every term's pattern
+and flag, which _cell_patterns reads off its masks: term b needs coordinate
+c inverted iff its bit is absent from the mask of the cell's interval on c,
+and on Y it passes the flag iff its bit is present on the extra da
+coordinate.  character_cohomology is the per-character reference.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -62,10 +59,12 @@ from .linalg import (
     characters_of_degree,
     check_box,
     degree,
+    interval_runs,
+    single_twist_complex,
     x_character,
     y_character,
 )
-from .resolution import monomials_of_weighted_degree
+from .resolution import monomial_counts
 from .weights import WeightSequence
 
 
@@ -366,43 +365,6 @@ def character_cohomology(
     return _pattern_homology(space, seq.m, seq.n, pattern) if d == twist else {}
 
 
-def _box_bounds(seq: WeightSequence, space: str, box: int):
-    """Character bounds for a sweep: coordinates that must be nonnegative for
-    any chart to see the character are clamped at zero."""
-    if space == SPACE_MINUS:
-        return ((-box,) * seq.m, (0,) * seq.n), ((box,) * seq.m, (box,) * seq.n)
-    if space == SPACE_PLUS:
-        return ((0,) * seq.m, (-box,) * seq.n), ((box,) * seq.m, (box,) * seq.n)
-    return ((-box,) * seq.m, (-box,) * seq.n), ((box,) * seq.m, (box,) * seq.n)
-
-
-def _sign_orthants(seq: WeightSequence, space: str, lows, highs):
-    """Split a character box into its sign orthants.
-
-    Every coordinate whose lower bound is negative is cut into a negative
-    and a nonnegative half.  Yields (pattern, lows, highs) per orthant with
-    no empty coordinate range, where pattern is the _sign_pattern of every
-    character in the orthant.
-    """
-    m = seq.m
-    flat_lo, flat_hi = lows[0] + lows[1], highs[0] + highs[1]
-    split = [c for c, lo in enumerate(flat_lo) if lo < 0]
-    for signs in itertools.product((False, True), repeat=len(split)):
-        lo, hi = list(flat_lo), list(flat_hi)
-        for c, negative in zip(split, signs):
-            if negative:
-                hi[c] = min(hi[c], -1)
-            else:
-                lo[c] = 0
-        if any(l > h for l, h in zip(lo, hi)):
-            continue
-        neg = [c for c, negative in zip(split, signs) if negative]
-        pattern = _sign_pattern(
-            space, frozenset(c for c in neg if c < m), frozenset(c - m for c in neg if c >= m)
-        )
-        yield pattern, (lo[:m], lo[m:]), (hi[:m], hi[m:])
-
-
 def cohomology_table(
     seq: WeightSequence,
     space: str,
@@ -413,34 +375,20 @@ def cohomology_table(
     """Per-character cohomology of a twist over the exponent box; zero rows
     are omitted, so tables compare as sparse dictionaries.
 
-    A character's dims depend only on its sign orthant, given that it passes
-    the threshold or Y flag.  So the sweep looks up each orthant's pattern
-    homology once and enumerates, with characters_of_degree, only the
-    orthants where it is nonzero.  The whole box is checked against the
-    enumeration limit before any orthant is visited.  An orthant whose Cech
-    cover is too large to reduce is refused with Unsupported only when it
-    holds a character that passes the flag, as character_cohomology would.
+    O(twist) is the one-term complex single_twist_complex(seq, space, twist),
+    swept by _cell_sweep over hypercohomology_bounds(cx, box): its cuts at 0
+    are the sign orthants, and on Y its flag is the cut da = k1.
+    I_threshold(twist) needs weighted y-degree >= threshold on X-, that is
+    da >= threshold + twist, and da >= threshold on X+.  Y carries no ideal
+    sheaf: a threshold there is refused up front.
     """
     if space not in (SPACE_MINUS, SPACE_PLUS, SPACE_Y):
         raise WrongSide(f"no charts on {space!r}")
-    value = twist[0] - twist[1] if space == SPACE_Y else twist
-    lows, highs = _box_bounds(seq, space, box)
-    check_box(seq, low=lows, high=highs)
-    out: dict[Character, dict[int, int]] = {}
-    for pattern, low, high in _sign_orthants(seq, space, lows, highs):
-        refusal = None
-        try:
-            dims = _pattern_homology(space, seq.m, seq.n, pattern)
-        except Unsupported as exc:
-            dims, refusal = None, exc
-        if dims == {}:
-            continue
-        for ch in characters_of_degree(seq, space, value, low=low, high=high):
-            if _passes_flag(seq, space, twist, ch, threshold):
-                if refusal is not None:
-                    raise refusal
-                out[ch] = dims
-    return out
+    if threshold is not None and space == SPACE_Y:
+        raise Unsupported("a threshold sets an ideal sheaf on minus or plus, not on Y")
+    da_floor = threshold + twist if threshold is not None and space == SPACE_MINUS else threshold
+    cx = single_twist_complex(seq, space, twist)
+    return _cell_sweep(cx, *hypercohomology_bounds(cx, box), da_floor)
 
 
 def total_cohomology(table: dict[Character, dict[int, int]]) -> dict[int, int]:
@@ -459,15 +407,15 @@ def wps_cohomology_totals(weights, k: int) -> list[int]:
     and alpha <= -1, so the totals need no box.  Each region is one cell:
     its characters all have the sign pattern of no inverted chart, or of all
     of them.  So a region adds its number of characters of degree k (the
-    monomials of degree k, and of degree -k - sum(weights) by
-    alpha = -1 - mu) times its pattern's dims.  character_cohomology is the
-    per-character reference.
+    monomials of degree k, and of degree -k - sum(weights) by alpha = -1 - mu,
+    counted by resolution.monomial_counts without listing any) times its
+    pattern's dims.  character_cohomology is the per-character reference.
     """
     weights = WeightSequence(weights, ()).a
     m = len(weights)
     dims = [0] * m
     for d, neg in ((k, frozenset()), (-k - sum(weights), frozenset(range(m)))):
-        count = len(monomials_of_weighted_degree(weights, d))
+        count = monomial_counts(weights, d + 1)[d] if d >= 0 else 0
         if count:
             for i, h in _side_pattern_dims(m, neg).items():
                 dims[i] += count * h
@@ -491,32 +439,25 @@ def _sign_pattern(space, neg_x: frozenset, neg_y: frozenset):
     raise WrongSide(f"no charts on {space!r}")
 
 
-def _passes_flag(seq, space, twist, char, threshold=None) -> bool:
-    """The condition on a character beyond its sign pattern: weighted
-    y-degree >= threshold on X- and weighted x-degree >= threshold on X+
-    when a threshold is set; on Y, da(character) >= k1 of the twist."""
-    if space == SPACE_Y:
-        weights, exps, bound = seq.a, char.alpha, twist[0]
-    elif threshold is None:
-        return True
-    elif space == SPACE_MINUS:
-        weights, exps, bound = seq.b, char.beta, threshold
-    else:
-        weights, exps, bound = seq.a, char.alpha, threshold
-    return sum(map(mul, weights, exps)) >= bound
-
-
 def _term_pattern(seq, space, twist, char, threshold=None):
     """Sign pattern of a character for one term, or None when no chart
-    allows it at all (forbidden negative exponents or a failed flag)."""
+    allows it at all: forbidden negative exponents, or a failed flag.  The
+    flag is weighted y-degree >= threshold on X- and weighted x-degree >=
+    threshold on X+ when a threshold is set; on Y, da(character) >= k1."""
     pattern = _sign_pattern(
         space,
         frozenset(i for i, e in enumerate(char.alpha) if e < 0),
         frozenset(j for j, e in enumerate(char.beta) if e < 0),
     )
-    if pattern is None or not _passes_flag(seq, space, twist, char, threshold):
-        return None
-    return pattern
+    if space == SPACE_Y:
+        weights, exps, bound = seq.a, char.alpha, twist[0]
+    elif threshold is None:
+        return pattern
+    elif space == SPACE_MINUS:
+        weights, exps, bound = seq.b, char.beta, threshold
+    else:
+        weights, exps, bound = seq.a, char.alpha, threshold
+    return pattern if sum(map(mul, weights, exps)) >= bound else None
 
 
 def _supersets(count: int, need: frozenset) -> list[tuple[int, ...]]:
@@ -617,20 +558,21 @@ def _cell_patterns(cx: MonomialComplex, cell: tuple[int, ...]) -> tuple:
 _HYPER_MEMO: dict = {}
 
 
-def hypercohomology_strand(cx: MonomialComplex, char: Character) -> dict[int, int]:
-    """Hypercohomology dims of the Cech double complex of cx at one character.
+def hypercohomology_strand(cx: MonomialComplex, cell: tuple[int, ...]) -> dict[int, int]:
+    """Hypercohomology dims of the Cech double complex of cx at the
+    characters of one cell of its compiled tables (PresenceTables.cell).
 
-    The per-term sign patterns and flags come from the character's cell
-    (_cell_patterns).  When no term has cohomology at the character, the
-    answer is {} at once: a bounded double complex with exact columns is
-    exact.  Otherwise the whole double complex is built and reduced.  It is
-    a function of the per-term sign patterns alone, so reductions are
+    The per-term sign patterns and flags are read off the cell
+    (_cell_patterns).  When no term has cohomology on the cell, the answer
+    is {} at once: a bounded double complex with exact columns is exact.
+    Otherwise the whole double complex is built and reduced.  It is a
+    function of the per-term sign patterns alone, so reductions are
     memoized by (complex signature, pattern tuple).  Total degree = term
     degree + Cech degree.  Integral coefficients enter the reduction as
     ints, the rest as Fractions.
     """
     space, m, n = cx.space, cx.seq.m, cx.seq.n
-    patterns = _cell_patterns(cx, cx.presence_tables.cell(char))
+    patterns = _cell_patterns(cx, cell)
     if not any(_pattern_homology(space, m, n, p) for _, p in patterns):
         return {}
     key = (cx.signature, patterns)
@@ -675,8 +617,7 @@ def hypercohomology_table(cx: MonomialComplex, box: int) -> dict[Character, dict
     """
     if cx.reference_degree is None or not cx.terms:
         return {}
-    lows, highs = hypercohomology_bounds(cx, box)
-    return hypercohomology_table_bounded(cx, lows, highs)
+    return hypercohomology_table_bounded(cx, *hypercohomology_bounds(cx, box))
 
 
 def hypercohomology_bounds(cx: MonomialComplex, box: int):
@@ -703,26 +644,76 @@ def hypercohomology_bounds(cx: MonomialComplex, box: int):
 def hypercohomology_table_bounded(
     cx: MonomialComplex, lows, highs
 ) -> dict[Character, dict[int, int]]:
-    """hypercohomology_table over explicit per-coordinate character bounds.
-
-    Characters of one cell of the complex (see
-    linalg.compile_presence_tables) have the same per-term sign patterns and
-    flags, hence the same double complex.  The first character met in each
-    cell goes through hypercohomology_strand and the rest of the cell reuses
-    its dims.
-    """
+    """hypercohomology_table over explicit character bounds, by _cell_sweep."""
     if cx.reference_degree is None or not cx.terms:
         return {}
-    cell = cx.presence_tables.cell
-    by_cell: dict[tuple[int, ...], dict[int, int]] = {}
+    return _cell_sweep(cx, lows, highs)
+
+
+def _cell_sweep(cx: MonomialComplex, lows, highs, da_floor=None) -> dict:
+    """Per-character hypercohomology of cx over a character box, by cells.
+
+    The cuts of cx.presence_tables split each coordinate into runs
+    (linalg.interval_runs); a product of runs, a box, lies in one cell up to
+    the da coordinate on Y.  Characters with da below da_floor have no
+    cohomology (a threshold).  Boxes the degree equation cannot reach, and
+    the da intervals a box cannot reach, are dropped; each reachable cell
+    goes once through hypercohomology_strand, and characters are enumerated
+    only in boxes with cohomology, with one bisect of da each.  A refused
+    Cech cover raises Unsupported only at a character of its cell.
+    """
+    seq, space, value = cx.seq, cx.space, cx.reference_degree
+    check_box(seq, low=lows, high=highs)
+    m, coords = seq.m, cx.presence_tables.coords
+    flat_lo, flat_hi = [*lows[0], *lows[1]], [*highs[0], *highs[1]]
+    weights, da_minus_db = [*seq.a, *(-w for w in seq.b)], -value if space == SPACE_PLUS else value
+    runs = [interval_runs(cuts, lo, hi) for (cuts, _), lo, hi in zip(coords, flat_lo, flat_hi)]
+    # reach[c]: least and greatest weighted sum over the coordinates from c on.
+    spans = [sorted((w * lo, w * hi)) for w, lo, hi in zip(weights, flat_lo, flat_hi)]
+    reach = [tuple(map(sum, zip((0, 0), *spans[c:]))) for c in range(len(spans) + 1)]
+    # Boxes grown a coordinate at a time, each with the range of its weighted sum.
+    boxes = [((), 0, 0)]
+    for w, coordinate_runs, (rest_lo, rest_hi) in zip(weights, runs, reach[1:]):
+        boxes = [
+            (box + (run,), least + min(ends), most + max(ends))
+            for box, least, most in boxes
+            for run in coordinate_runs
+            for ends in [(w * run[0], w * run[1])]
+            if least + min(ends) + rest_lo <= da_minus_db <= most + max(ends) + rest_hi
+        ]
+    on_y = space == SPACE_Y
+    da_cuts = coords[-1][0] if on_y else [] if da_floor is None else [da_floor]
+    floor = 0 if on_y or da_floor is None else 1  # levels below it are zero
+
+    def evaluate(cell):
+        try:
+            return hypercohomology_strand(cx, cell)
+        except Unsupported as exc:
+            return exc
+
     out: dict[Character, dict[int, int]] = {}
-    for ch in characters_of_degree(cx.seq, cx.space, cx.reference_degree, low=lows, high=highs):
-        key = cell(ch)
-        dims = by_cell.get(key)
-        if dims is None:
-            dims = by_cell[key] = hypercohomology_strand(cx, ch)
-        if dims:
-            out[ch] = dims
+    for box, _, _ in boxes:
+        firsts, lasts = [run[0] for run in box], [run[1] for run in box]
+        cell = tuple(run[2] for run in box)
+        low = max(sum(map(mul, seq.a, firsts)), da_minus_db + sum(map(mul, seq.b, firsts[m:])))
+        high = min(sum(map(mul, seq.a, lasts)), da_minus_db + sum(map(mul, seq.b, lasts[m:])))
+        first = bisect_right(da_cuts, low)
+        levels = [
+            evaluate(cell + (j,) if on_y else cell) if j >= floor else {}
+            for j in range(first, bisect_right(da_cuts, high) + 1)
+        ]
+        if not any(levels):
+            continue
+        for ch in characters_of_degree(
+            seq, space, value, low=(firsts[:m], firsts[m:]), high=(lasts[:m], lasts[m:])
+        ):
+            dims = levels[0]
+            if len(levels) > 1:
+                dims = levels[bisect_right(da_cuts, sum(map(mul, seq.a, ch.alpha))) - first]
+            if isinstance(dims, Unsupported):
+                raise dims
+            if dims:
+                out[ch] = dims
     return out
 
 

@@ -1,7 +1,12 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import time
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbiflip.cli import main
 
@@ -301,3 +306,92 @@ class TestCohomology:
         assert code == 2
         assert err.startswith("error: character box of size > 4000000")
         assert "Traceback" not in err and out == ""
+
+
+# Malformed and out-of-range values are a minority of every draw, so that
+# most commands get past argument parsing.
+_WEIGHT_LISTS = st.lists(st.integers(1, 4), max_size=3).map(lambda ws: ",".join(map(str, ws)))
+_SEQ_TEXTS = st.one_of(
+    st.sampled_from(
+        ["1,1;1,1", "1,2;1,1,1", "1,2,3;1,5", "1,1;2,1", "1,5;2,3", "1,1,2;", "2,1;1,1"]
+        + ["", "1,2", "x;1", "0,1;1", "-1,2;1"]
+    ),
+    st.builds(lambda a, b: f"{a};{b}", _WEIGHT_LISTS, _WEIGHT_LISTS),
+)
+_INTS = st.sampled_from([str(v) for v in range(-3, 10)] + ["x", "100", "-100"])
+_TWISTS = st.one_of(
+    _INTS,
+    st.sampled_from([f"{u},{v}" for u in range(-3, 4) for v in range(-3, 4)] + ["1,x", "1,2,3"]),
+)
+_OPTIONS = {
+    "analyze": (),
+    "resolve": (("--side", st.sampled_from(["plus", "minus", "Y"])), ("--k", _INTS)),
+    "transform": (
+        ("--functor", st.sampled_from(["F", "G", "H", "Fprime", "Gprime", "Hprime", "X"])),
+        ("--k", _INTS),
+    ),
+    "verify": (
+        (
+            "--suite",
+            st.sampled_from(
+                ["roundtrip", "adjunction", "serre", "pushforward", "example51", "all", "x"]
+            ),
+        ),
+        ("--k-min", _INTS),
+        ("--k-max", _INTS),
+        ("--box", _INTS),
+    ),
+    "cohomology": (
+        ("--space", st.sampled_from(["minus", "plus", "Y"])),
+        ("--twist", _TWISTS),
+        ("--box", _INTS),
+        ("--threshold", _INTS),
+        ("--rows", _INTS),
+    ),
+}
+
+
+@st.composite
+def _argv(draw):
+    """A command over the five subcommands: each option present or not,
+    with well-formed, out-of-range or malformed values."""
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    argv = [command]
+    present = st.sampled_from([True] * 7 + [False])
+    for flag, values in (("--seq", _SEQ_TEXTS),) + _OPTIONS[command]:
+        if draw(present):
+            # flag=value, so that a value such as -1,2 is not read as a flag.
+            argv.append(f"{flag}={draw(values)}")
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+class TestArgvFuzz:
+    def test_exit_codes_and_no_traceback(self, monkeypatch):
+        # Every limit is patched small, so no drawn command can start a real
+        # blow-up; a limit hit is a refusal with exit 2.  The pattern-subset
+        # cache is cleared around the patch so that covers cached under the
+        # real chart limit are refused too.
+        from orbiflip import charts, linalg, resolution, sheaves
+
+        monkeypatch.setattr(linalg, "ENUMERATION_LIMIT", 3000)
+        monkeypatch.setattr(resolution, "THRESHOLD_CAP", 6)
+        monkeypatch.setattr(resolution, "TABLE_CAP", 300)
+        monkeypatch.setattr(sheaves, "CHART_LIMIT", 6)
+        monkeypatch.setattr(charts, "GROUP_ENUMERATION_CAP", 50)
+
+        @settings(max_examples=300, deadline=None)
+        @given(_argv())
+        def check(argv):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2), (argv, code)
+            assert "Traceback" not in err.getvalue(), argv
+
+        sheaves._pattern_subsets.cache_clear()
+        try:
+            check()
+        finally:
+            sheaves._pattern_subsets.cache_clear()

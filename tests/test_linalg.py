@@ -535,6 +535,26 @@ class TestPresenceCounts:
             assert chars and all(mask(ch) == 1 for ch in chars)
 
 
+class TestIntervalRuns:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(-8, 8), unique=True).map(sorted),
+        st.integers(-10, 10),
+        st.integers(-10, 10),
+    )
+    def test_runs_match_bisect_at_every_value(self, cuts, lo, hi):
+        from bisect import bisect_right
+
+        from orbiflip.linalg import interval_runs
+
+        runs = interval_runs(cuts, lo, hi)
+        covered = [(v, j) for first, last, j in runs for v in range(first, last + 1)]
+        assert covered == [(v, bisect_right(cuts, v)) for v in range(lo, hi + 1)]
+        assert all(first <= last for first, last, _ in runs)
+        # Maximal: neighbouring runs differ in their index.
+        assert all(a[2] != b[2] for a, b in zip(runs, runs[1:]))
+
+
 def _brute_characters(s, space, value, lows, highs):
     """itertools.product over the box in the enumerator's order (the solved
     coordinate, the last one of largest weight, varies fastest), filtered by

@@ -180,6 +180,43 @@ class TestCechOracle:
                 want[d] += h
         assert wps_cohomology_totals(w, k) == want
 
+    def test_wps_totals_count_without_listing(self, monkeypatch):
+        # The totals count monomials by coin change; none is listed.  The
+        # expected rows are those of the listing implementation.
+        from orbiflip import resolution, sheaves
+
+        def listed(*args):
+            raise AssertionError("monomials listed")
+
+        monkeypatch.setattr(resolution, "monomials_of_weighted_degree", listed)
+        assert not hasattr(sheaves, "monomials_of_weighted_degree")
+        cases = {
+            ((1, 1, 1, 1, 1), 40): [135751, 0, 0, 0, 0],
+            ((1, 1, 1, 1, 1), -45): [0, 0, 0, 0, 135751],
+            ((1, 2, 3), 11): [16, 0, 0],
+            ((1, 2, 3), -17): [0, 0, 16],
+            ((2, 3), 1): [0, 0],
+            ((2, 3), -6): [0, 0],
+            ((2, 3), -11): [0, 2],
+            ((1, 1), 0): [1, 0],
+            ((3,), -3): [1],
+        }
+        for (weights, k), want in cases.items():
+            assert wps_cohomology_totals(weights, k) == want, (weights, k)
+
+    def test_threshold_on_y_refused_before_any_work(self, monkeypatch):
+        from orbiflip import Unsupported
+        from orbiflip import sheaves
+
+        def work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(sheaves, "check_box", work)
+        monkeypatch.setattr(sheaves, "single_twist_complex", work)
+        for threshold in (1, 5):
+            with pytest.raises(Unsupported, match="threshold"):
+                cohomology_table(FLOP, "Y", (1, 1), 2, threshold=threshold)
+
     def test_threshold_ideal_table(self):
         # I_1^-(0) on the minus side: sections need weighted y-degree >= 1.
         table = cohomology_table(FLOP, "minus", 0, 4, threshold=1)
@@ -225,7 +262,8 @@ class TestCechOracle:
 
 @st.composite
 def _cech_cases(draw):
-    """A small sequence, a space with its twist, a box <= 2 and a threshold."""
+    """A small sequence, a space with its twist, a box <= 2 and a threshold
+    (none on Y, which carries no ideal sheaf)."""
     m = draw(st.integers(1, 3))
     n = draw(st.integers(1, 4 - m))
     weights = st.integers(1, 3)
@@ -236,7 +274,7 @@ def _cech_cases(draw):
     k = st.integers(-4, 4)
     twist = (draw(k), draw(k)) if space == "Y" else draw(k)
     box = draw(st.integers(0, 2))
-    threshold = draw(st.one_of(st.none(), st.integers(1, 3)))
+    threshold = None if space == "Y" else draw(st.one_of(st.none(), st.integers(1, 3)))
     return s, space, twist, box, threshold
 
 
@@ -323,10 +361,48 @@ class TestChamberSweep:
             d = degree(s, cx.space, ch)
             if (d[0] - d[1] if cx.space == "Y" else d) != cx.reference_degree:
                 continue
-            dims = hypercohomology_strand(cx, ch)
+            dims = hypercohomology_strand(cx, cx.presence_tables.cell(ch))
             if dims:
                 brute[ch] = dims
         assert hypercohomology_table_bounded(cx, lows, highs) == brute
+
+
+class TestCellSweep:
+    def test_criterion6_enumerates_only_cells_with_cohomology(self, monkeypatch):
+        # example51_verify(range(-2, 4), box=5) sweeps about 112k characters
+        # of degree; only the few on cells with cohomology are enumerated.
+        from orbiflip import example51_verify, sheaves
+
+        seen = []
+
+        def counted(*args, **kwargs):
+            for ch in characters_of_degree(*args, **kwargs):
+                seen.append(ch)
+                yield ch
+
+        monkeypatch.setattr(sheaves, "characters_of_degree", counted)
+        assert example51_verify(range(-2, 4), box=5).verdict
+        assert len(seen) < 1000
+
+    def test_both_tables_call_the_strand_by_module_attribute(self, monkeypatch):
+        # perfbench/tracer.py wraps sheaves.hypercohomology_strand by
+        # rebinding the module attribute; both sweeps must be seen through it.
+        from orbiflip import sheaves
+
+        calls = []
+        original = sheaves.hypercohomology_strand
+
+        def traced(cx, cell):
+            calls.append(cx.term_count())
+            return original(cx, cell)
+
+        monkeypatch.setattr(sheaves, "hypercohomology_strand", traced)
+        assert cohomology_table(FLOP, "minus", -4, 3)
+        assert calls and set(calls) == {1}
+        calls.clear()
+        cx = exceptional_koszul(FLOP, "plus", -3)
+        assert total_cohomology(hypercohomology_table(cx, 3)) == {2: 1}
+        assert calls and set(calls) == {cx.term_count()}
 
 
 def _term_patterns(cx, ch):
@@ -456,7 +532,8 @@ class TestTwoCoverBicomplex:
                 patterns = _term_patterns(cx, ch)
                 if patterns not in references:
                     references[patterns] = _chart_cover_hypercohomology(cx, patterns)
-                assert hypercohomology_strand(cx, ch) == references[patterns], ch
+                cell = cx.presence_tables.cell(ch)
+                assert hypercohomology_strand(cx, cell) == references[patterns], ch
 
     def test_y_cover_over_the_limit_refused_before_any_cell(self, monkeypatch):
         from orbiflip import Unsupported
