@@ -281,9 +281,9 @@ def roundtrip_check(seq: WeightSequence, k: int, pair: str) -> VerificationRepor
     k + sum(a) + sum(b).  Each such character is a section of O(k), so the
     composite's strand homology must be one-dimensional in degree 0 there.
     The characters are not visited one by one: count_presence counts them
-    per presence mask of the composite, one strand is reduced per mask, and
-    each mask's count goes to strands_checked (and to the mismatches when
-    its homology is not {0: 1}).  Only the reported first mismatches and
+    per presence mask of the composite, one strand is reduced per mask at
+    one of its characters, and each mask's count goes to strands_checked
+    (and to the mismatches when its homology is not {0: 1}).  Only the reported first mismatches and
     matched samples come from a scan in enumeration order, which stops once
     the counts say they are all found.  Characters with a negative exponent
     are checked all at once: when every term offset of the composite is
@@ -310,8 +310,8 @@ def roundtrip_check(seq: WeightSequence, k: int, pair: str) -> VerificationRepor
     # Every character of the box has exponents >= 0 and minus-degree k, so
     # it is a section of O(k), whose strand there is one-dimensional in
     # degree 0.  Strand homology is a function of the composite's presence
-    # mask alone, so each mask builds and checks its strand once, from the
-    # first character of its cell; the cell's characters are counted.
+    # mask alone, so each mask builds and checks its strand once, from one
+    # character of the mask; the mask's characters are counted.
     expected = {0: 1}
     cells = count_presence(out, k, low=low, high=caps)
     homology = {}

@@ -513,8 +513,9 @@ def compile_presence_tables(cx: MonomialComplex) -> PresenceTables:
     negative on a coordinate, and on Y the threshold, is fixed for every
     term; so are the strand membership, read off by table lookup as the AND
     of the per-coordinate masks, and the per-term sign patterns and flags of
-    the Cech oracle.  MonomialComplex.presence, count_presence and the
-    oracle's hypercohomology tables all read these tables.
+    the Cech oracle.  MonomialComplex.presence reads these tables per
+    character; count_presence and the oracle's sweep read them per box of
+    cell_boxes, a product of runs between the cuts.
     """
     seq, space = cx.seq, cx.space
     on_y = space == SPACE_Y
@@ -582,73 +583,77 @@ def interval_runs(cuts, lo: int, hi: int) -> list[tuple[int, int, int]]:
     return [(a, b, index + j) for j, (a, b) in enumerate(zip(starts, ends))] if lo <= hi else []
 
 
+def cell_boxes(cx: MonomialComplex, value, *, low, high) -> list[tuple[tuple[int, int, int], ...]]:
+    """The products of interval_runs, one (first, last, index) run per
+    coordinate and each in one cell of cx.presence_tables up to da on Y,
+    that the equation of characters_of_degree(cx.seq, cx.space, value,
+    low=low, high=high) can reach by the least and greatest weighted sums of
+    their runs; a box kept may hold no character of the value.  Bounds come
+    from _enumeration_plan, so boxes are refused as the enumeration is.
+    """
+    if cx.space == SPACE_PLUS:
+        value = -value
+    if cx.seq.m + cx.seq.n == 0:
+        return []
+    weights, lows, highs, _, _ = _enumeration_plan(cx.seq, low, high)
+    coords = cx.presence_tables.coords
+    runs = [interval_runs(cuts, lo, hi) for (cuts, _), lo, hi in zip(coords, lows, highs)]
+    # reach[c]: least and greatest weighted sum over the coordinates from c on.
+    spans = [sorted((w * lo, w * hi)) for w, lo, hi in zip(weights, lows, highs)]
+    reach = [tuple(map(sum, zip((0, 0), *spans[c:]))) for c in range(len(spans) + 1)]
+    boxes = [((), 0, 0)]
+    for w, coordinate_runs, (rest_lo, rest_hi) in zip(weights, runs, reach[1:]):
+        boxes = [
+            (box + (run,), least + min(ends), most + max(ends))
+            for box, least, most in boxes
+            for run in coordinate_runs
+            for ends in [(w * run[0], w * run[1])]
+            if least + min(ends) + rest_lo <= value <= most + max(ends) + rest_hi
+        ]
+    return [box for box, _, _ in boxes]
+
+
 def count_presence(cx: MonomialComplex, value, *, low, high) -> dict[int, tuple[int, Character]]:
     """Count the characters of characters_of_degree(seq, "minus", value,
-    low=low, high=high) per presence mask of a minus-side complex, without
-    visiting each.
+    low=low, high=high) per presence mask of a minus-side complex (other
+    sides are refused), box by box of cell_boxes, without visiting each.
 
-    Returns {mask: (count, first character in enumeration order)}, the masks
-    as PresenceTables.mask gives them.  Presence is constant on a product of
-    per-coordinate runs between the cuts (interval_runs), so a DP runs over the
-    coordinates of _enumeration_plan: the free ones in order, the state
-    being (partial degree, mask so far), and the solved one last from the
-    degree equation.  Partial degrees the remaining coordinates cannot bring
-    to the value are dropped.  Each cell's mask is read off its
-    representative with PresenceTables.mask.  Boxes are refused exactly as
-    characters_of_degree refuses them.  A complex on any other side is
-    refused.
+    Returns {mask: (count, the first character of the mask's first box)}: a
+    box's mask is the AND of its runs' masks (0 off the reference degree),
+    and a DP over the partial weighted sums of its free coordinates counts
+    its characters, the solved one of _enumeration_plan in closed form.
     """
     if cx.space != SPACE_MINUS:
         raise Unsupported("presence cells are counted on the minus side only")
-    seq = cx.seq
-    if seq.m + seq.n == 0:
-        return {}
-    weights, lows, highs, solve_at, free = _enumeration_plan(seq, low, high)
-    tables = cx.presence_tables
-
-    # reach[j]: least and greatest sum of weight * exponent over the
-    # coordinates from the j-th free one on, the solved one included.
-    order = free + [solve_at]
-    reach = [(0, 0)] * (len(order) + 1)
-    for j in range(len(order) - 1, -1, -1):
-        c = order[j]
-        ends = (weights[c] * lows[c], weights[c] * highs[c])
-        reach[j] = (reach[j + 1][0] + min(ends), reach[j + 1][1] + max(ends))
-
-    states = {(0, -1): (1, ())}
-    for j, c in enumerate(free):
-        w, (cuts, masks) = weights[c], tables.coords[c]
-        cut_runs = [
-            (first, last, masks[i]) for first, last, i in interval_runs(cuts, lows[c], highs[c])
-        ]
-        least, most = value - reach[j + 1][1], value - reach[j + 1][0]
-        grown: dict = {}
-        for (partial, mask), (count, rep) in states.items():
-            for first, last, cut in cut_runs:
-                joint = mask & cut
-                for e in range(first, last + 1):
-                    total = partial + w * e
-                    if total < least or total > most:
-                        continue
-                    key = (total, joint)
-                    hit = grown.get(key)
-                    grown[key] = (count, rep + (e,)) if hit is None else (hit[0] + count, hit[1])
-        states = grown
-
+    seq, m = cx.seq, cx.seq.m
+    weights, _, _, solve_at, free = _enumeration_plan(seq, low, high)
+    w_solve, tables = weights[solve_at], [masks for _, masks in cx.presence_tables.coords]
+    present = value == cx.reference_degree
     cells: dict[int, tuple[int, Character]] = {}
-    w_solve, lo_solve, hi_solve = weights[solve_at], lows[solve_at], highs[solve_at]
-    m, full = seq.m, [0] * len(weights)
-    for (partial, _), (count, rep) in states.items():
-        rem = value - partial
-        if rem % w_solve or not lo_solve <= rem // w_solve <= hi_solve:
+    for box in cell_boxes(cx, value, low=low, high=high):
+        sums = {0: 1}
+        for c in free:
+            w, (first, last, _) = weights[c], box[c]
+            grown: dict[int, int] = {}
+            for partial, count in sums.items():
+                for total in range(partial + w * first, partial + w * (last + 1), w):
+                    grown[total] = grown.get(total, 0) + count
+            sums = grown
+        first, last, _ = box[solve_at]
+        count = sum(
+            n for partial, n in sums.items()
+            if not (value - partial) % w_solve and first <= (value - partial) // w_solve <= last
+        )
+        if not count:
             continue
-        for c, e in zip(free, rep):
-            full[c] = e
-        full[solve_at] = rem // w_solve
-        character = Character(tuple(full[:m]), tuple(full[m:]))
-        key = tables.mask(character)
-        hit = cells.get(key)
-        cells[key] = (count, character) if hit is None else (hit[0] + count, hit[1])
+        mask = -1 if present else 0
+        for masks, (_, _, j) in zip(tables, box):
+            mask &= masks[j]
+        if mask not in cells:
+            firsts, lasts = [run[0] for run in box], [run[1] for run in box]
+            bounds = {"low": (firsts[:m], firsts[m:]), "high": (lasts[:m], lasts[m:])}
+            cells[mask] = (0, next(characters_of_degree(seq, SPACE_MINUS, value, **bounds)))
+        cells[mask] = (cells[mask][0] + count, cells[mask][1])
     return cells
 
 

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from . import linalg
 from .errors import ResolutionConstructionFailure, Unsupported
 
 # Not called here.  perfbench/test_perfbench.py checks that its tracer rebinds
@@ -186,7 +187,9 @@ def check_threshold(k: int, cap: int | None = None):
 
 def check_table_size(weights, k: int) -> None:
     """Raise Unsupported if the Eliahou-Kervaire table of I_k has more than
-    TABLE_CAP symbols, counted without listing any.
+    TABLE_CAP symbols, counted without listing any, or if the 2m + 1 dense
+    rows of k + sum(w) degrees that _betti_counts and _check_hilbert_series
+    walk, m the number of weights, exceed linalg.ENUMERATION_LIMIT.
 
     The generators whose last variable is the p-th in decreasing-weight order
     are the monomials of degree below k in the p variables before it, each
@@ -204,6 +207,12 @@ def check_table_size(weights, k: int) -> None:
         raise Unsupported(
             f"resolution of I_{k} over {tuple(weights)} has {size} basis elements, "
             f"above the table cap {TABLE_CAP}"
+        )
+    dense = (2 * len(weights) + 1) * (k + sum(weights))
+    if dense > linalg.ENUMERATION_LIMIT:
+        raise Unsupported(
+            f"Betti rows of I_{k} over {tuple(weights)} need {dense} entries, "
+            f"above the enumeration limit {linalg.ENUMERATION_LIMIT}"
         )
 
 

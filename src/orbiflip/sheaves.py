@@ -56,10 +56,9 @@ from .linalg import (
     Character,
     MonomialComplex,
     Term,
+    cell_boxes,
     characters_of_degree,
-    check_box,
     degree,
-    interval_runs,
     single_twist_complex,
     x_character,
     y_character,
@@ -563,18 +562,21 @@ def hypercohomology_strand(cx: MonomialComplex, cell: tuple[int, ...]) -> dict[i
     characters of one cell of its compiled tables (PresenceTables.cell).
 
     The per-term sign patterns and flags are read off the cell
-    (_cell_patterns).  When no term has cohomology on the cell, the answer
-    is {} at once: a bounded double complex with exact columns is exact.
-    Otherwise the whole double complex is built and reduced.  It is a
-    function of the per-term sign patterns alone, so reductions are
-    memoized by (complex signature, pattern tuple).  Total degree = term
-    degree + Cech degree.  Integral coefficients enter the reduction as
-    ints, the rest as Fractions.
+    (_cell_patterns).  Total degree = term degree + Cech degree.  The first
+    page of the term-degree filtration is the per-term Cech cohomology
+    (_pattern_homology); when at most one term has any, the spectral
+    sequence degenerates there and that term's dims, shifted by its degree,
+    are the answer ({} when none has).  Otherwise the whole double complex
+    is built and reduced.  It is a function of the per-term sign patterns
+    alone, so reductions are memoized by (complex signature, pattern
+    tuple).  Integral coefficients enter the reduction as ints, the rest as
+    Fractions.
     """
     space, m, n = cx.space, cx.seq.m, cx.seq.n
     patterns = _cell_patterns(cx, cell)
-    if not any(_pattern_homology(space, m, n, p) for _, p in patterns):
-        return {}
+    live = [(d, dims) for (d, _), p in patterns if (dims := _pattern_homology(space, m, n, p))]
+    if len(live) <= 1:
+        return {d + i: h for d, dims in live for i, h in dims.items()}
     key = (cx.signature, patterns)
     cached = _HYPER_MEMO.get(key)
     if cached is not None:
@@ -653,35 +655,18 @@ def hypercohomology_table_bounded(
 def _cell_sweep(cx: MonomialComplex, lows, highs, da_floor=None) -> dict:
     """Per-character hypercohomology of cx over a character box, by cells.
 
-    The cuts of cx.presence_tables split each coordinate into runs
-    (linalg.interval_runs); a product of runs, a box, lies in one cell up to
-    the da coordinate on Y.  Characters with da below da_floor have no
-    cohomology (a threshold).  Boxes the degree equation cannot reach, and
-    the da intervals a box cannot reach, are dropped; each reachable cell
-    goes once through hypercohomology_strand, and characters are enumerated
-    only in boxes with cohomology, with one bisect of da each.  A refused
-    Cech cover raises Unsupported only at a character of its cell.
+    The boxes are those of linalg.cell_boxes: products of runs between the
+    cuts of cx.presence_tables that the degree equation can reach, each in
+    one cell up to the da coordinate on Y.  Characters with da below
+    da_floor have no cohomology (a threshold).  The da intervals a box
+    cannot reach are dropped; each reachable cell goes once through
+    hypercohomology_strand, and characters are enumerated only in boxes
+    with cohomology, with one bisect of da each.  A refused Cech cover
+    raises Unsupported only at a character of its cell.
     """
     seq, space, value = cx.seq, cx.space, cx.reference_degree
-    check_box(seq, low=lows, high=highs)
-    m, coords = seq.m, cx.presence_tables.coords
-    flat_lo, flat_hi = [*lows[0], *lows[1]], [*highs[0], *highs[1]]
-    weights, da_minus_db = [*seq.a, *(-w for w in seq.b)], -value if space == SPACE_PLUS else value
-    runs = [interval_runs(cuts, lo, hi) for (cuts, _), lo, hi in zip(coords, flat_lo, flat_hi)]
-    # reach[c]: least and greatest weighted sum over the coordinates from c on.
-    spans = [sorted((w * lo, w * hi)) for w, lo, hi in zip(weights, flat_lo, flat_hi)]
-    reach = [tuple(map(sum, zip((0, 0), *spans[c:]))) for c in range(len(spans) + 1)]
-    # Boxes grown a coordinate at a time, each with the range of its weighted sum.
-    boxes = [((), 0, 0)]
-    for w, coordinate_runs, (rest_lo, rest_hi) in zip(weights, runs, reach[1:]):
-        boxes = [
-            (box + (run,), least + min(ends), most + max(ends))
-            for box, least, most in boxes
-            for run in coordinate_runs
-            for ends in [(w * run[0], w * run[1])]
-            if least + min(ends) + rest_lo <= da_minus_db <= most + max(ends) + rest_hi
-        ]
-    on_y = space == SPACE_Y
+    m, coords, on_y = seq.m, cx.presence_tables.coords, space == SPACE_Y
+    da_minus_db = -value if space == SPACE_PLUS else value
     da_cuts = coords[-1][0] if on_y else [] if da_floor is None else [da_floor]
     floor = 0 if on_y or da_floor is None else 1  # levels below it are zero
 
@@ -692,7 +677,7 @@ def _cell_sweep(cx: MonomialComplex, lows, highs, da_floor=None) -> dict:
             return exc
 
     out: dict[Character, dict[int, int]] = {}
-    for box, _, _ in boxes:
+    for box in cell_boxes(cx, value, low=lows, high=highs):
         firsts, lasts = [run[0] for run in box], [run[1] for run in box]
         cell = tuple(run[2] for run in box)
         low = max(sum(map(mul, seq.a, firsts)), da_minus_db + sum(map(mul, seq.b, firsts[m:])))

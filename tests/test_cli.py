@@ -107,6 +107,25 @@ class TestResolve:
         assert err.startswith("error: resolution of I_30 ") and "above the table cap" in err
         assert out == ""
 
+    def test_oversized_betti_rows_refused_before_allocation(self, capsys, monkeypatch):
+        # Three symbols, but the dense degree rows of the read-off would hold
+        # 5 * (64 + 10^9 + 1) integers.
+        from orbiflip import resolution
+
+        def forbidden(*args):
+            raise AssertionError("dense rows allocated")
+
+        monkeypatch.setattr(resolution, "_betti_counts", forbidden)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "resolve", "--seq", "1000000000,1;1", "--k", "64")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert err == (
+            "error: Betti rows of I_64 over (1000000000, 1) need 5000000325 entries, "
+            "above the enumeration limit 4000000\n"
+        )
+        assert out == ""
+
     def test_square_ideal(self, capsys):
         code, out, _ = run(
             capsys, "resolve", "--seq", "1,1;1,1", "--side", "plus", "--k", "2",

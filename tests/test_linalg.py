@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 
@@ -448,8 +449,8 @@ class TestPresenceCounts:
     def test_matches_per_character_count(self, text, k, pair, image, off, data):
         # Cells of the composite and of O(k), each counted on its own,
         # against a Counter over every character of the box keyed by the
-        # per-term section rule; each representative is the first character
-        # of its cell in enumeration order.
+        # per-term section rule; each representative is a character of its
+        # cell: in the box, of the degree, and of the mask.
         from collections import Counter
 
         from hypothesis import assume
@@ -475,19 +476,18 @@ class TestPresenceCounts:
         }
         value = k + off
         chars = list(characters_of_degree(s, "minus", value, **box))
+        flat_low, flat_high = box["low"][0] + box["low"][1], box["high"][0] + box["high"][1]
         for cx in complexes:
             patterns = [_per_term_bases(cx, ch) for ch in chars]
-            firsts: dict = {}
-            for p, ch in zip(patterns, chars):
-                firsts.setdefault(p, ch)
-
             cells = count_presence(cx, value, **box)
             decoded = {cx.presence_tables.bases(mask): cell for mask, cell in cells.items()}
             assert len(decoded) == len(cells)
             assert {p: count for p, (count, _) in decoded.items()} == Counter(patterns)
-            assert list(decoded.items()) == [(p, (decoded[p][0], ch)) for p, ch in firsts.items()]
             for mask, (_, ch) in cells.items():
                 assert cx.presence_tables.mask(ch) == mask
+                flat = ch.alpha + ch.beta
+                assert all(lo <= e <= hi for lo, e, hi in zip(flat_low, flat, flat_high))
+                assert degree(s, "minus", ch) == value
 
     def test_box_too_large_refused_like_the_enumeration(self):
         from orbiflip import BoxTooLarge, single_twist_complex
@@ -533,6 +533,64 @@ class TestPresenceCounts:
             mask = single_twist_complex(s, "minus", k).presence_tables.mask
             chars = list(characters_of_degree(s, "minus", k, low=low, high=caps))
             assert chars and all(mask(ch) == 1 for ch in chars)
+
+
+@functools.lru_cache(maxsize=None)
+def _walked_complexes(text, k):
+    return [cx for cx in _presence_complexes(seq(text), k) if cx.space != "module"]
+
+
+class TestCellBoxes:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(["1,1;1,1", "1,2;1,1,1", "1,2,3;1,5", "1,1;2,1"]),
+        st.integers(0, 2),
+        st.integers(-2, 2),
+        st.data(),
+    )
+    def test_boxes_partition_the_enumeration(self, text, k, off, data):
+        # On minus, plus and Y: the characters of the walked boxes are those
+        # of the whole box, each once, and each lies on its box's cell; the
+        # weighted sums of each walked box reach the degree equation's value.
+        from orbiflip.linalg import cell_boxes
+
+        complexes = _walked_complexes(text, k)
+        cx = complexes[data.draw(st.integers(0, len(complexes) - 1))]
+        s, m = cx.seq, cx.seq.m
+        lows = data.draw(st.lists(st.integers(-3, 2), min_size=s.m + s.n, max_size=s.m + s.n))
+        spans = data.draw(st.lists(st.integers(-1, 7), min_size=s.m + s.n, max_size=s.m + s.n))
+        highs = [lo + sp for lo, sp in zip(lows, spans)]
+        value = cx.reference_degree + off
+        pair = lambda flat: (tuple(flat[:m]), tuple(flat[m:]))
+        weights = s.a + tuple(-w for w in s.b)
+        target = -value if cx.space == "plus" else value
+        walked = []
+        for box in cell_boxes(cx, value, low=pair(lows), high=pair(highs)):
+            firsts, lasts = [run[0] for run in box], [run[1] for run in box]
+            ends = [sorted((w * lo, w * hi)) for w, lo, hi in zip(weights, firsts, lasts)]
+            assert sum(lo for lo, _ in ends) <= target <= sum(hi for _, hi in ends)
+            for ch in characters_of_degree(s, cx.space, value, low=pair(firsts), high=pair(lasts)):
+                assert cx.presence_tables.cell(ch)[: s.m + s.n] == tuple(run[2] for run in box)
+                walked.append(ch)
+        whole = list(characters_of_degree(s, cx.space, value, low=pair(lows), high=pair(highs)))
+        assert len(walked) == len(set(walked))
+        assert sorted(walked) == sorted(whole)
+
+    def test_small_cells_of_a_long_round_trip(self):
+        # The composite of roundtrip_check("1,1;1,1", 60, "GF"): 62,056
+        # characters in 1,891 cells, most of them a handful of characters.
+        from collections import Counter
+
+        from orbiflip.functors import _roundtrip_caps
+        from orbiflip.linalg import count_presence
+
+        s = seq("1,1;1,1")
+        cx, _ = _roundtrip_complexes(s, 60, "GF", "composite", None, None)
+        low, caps = _roundtrip_caps(s, 60)
+        counted = {mask: count for mask, (count, _) in count_presence(cx, 60, low=low, high=caps).items()}
+        chars = characters_of_degree(s, "minus", 60, low=low, high=caps)
+        assert counted == Counter(map(cx.presence_tables.mask, chars))
+        assert sum(counted.values()) == 62_056
 
 
 class TestIntervalRuns:

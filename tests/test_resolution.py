@@ -220,6 +220,22 @@ class TestTableCap:
         with pytest.raises(Unsupported, match="above the table cap"):
             build_resolution(WeightSequence((1,) * 12, ()), 30, "module")
 
+    def test_dense_rows_counted_against_the_enumeration_limit(self, monkeypatch):
+        # (1, 1, 2) at k = 12: 2 * 3 + 1 rows of 12 + 4 degrees.
+        from orbiflip import linalg
+
+        monkeypatch.setattr(linalg, "ENUMERATION_LIMIT", 112)
+        assert minimal_resolution_degrees((1, 1, 2), 12).degrees
+        monkeypatch.setattr(linalg, "ENUMERATION_LIMIT", 111)
+
+        def forbidden(*args):
+            raise AssertionError("dense rows allocated")
+
+        monkeypatch.setattr(resolution, "_betti_counts", forbidden)
+        monkeypatch.setattr(resolution, "_check_hilbert_series", forbidden)
+        with pytest.raises(Unsupported, match="need 112 entries, above the enumeration limit 111"):
+            minimal_resolution_degrees((1, 1, 2), 12)
+
     def test_zero_threshold_is_one_symbol(self, monkeypatch):
         monkeypatch.setattr(resolution, "TABLE_CAP", 1)
         assert minimal_resolution_degrees((1,) * 40, 0).degrees == {1: (0,)}

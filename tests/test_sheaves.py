@@ -31,7 +31,7 @@ from orbiflip import (
 )
 from orbiflip.exact import chain_reduce_homology
 from orbiflip.functors import pull_complex
-from orbiflip.linalg import characters_of_degree
+from orbiflip.linalg import characters_of_degree, single_twist_complex
 from orbiflip.sheaves import (
     _cell_patterns,
     _term_pattern,
@@ -211,7 +211,7 @@ class TestCechOracle:
         def work(*args, **kwargs):
             raise AssertionError("work started")
 
-        monkeypatch.setattr(sheaves, "check_box", work)
+        monkeypatch.setattr(sheaves, "cell_boxes", work)
         monkeypatch.setattr(sheaves, "single_twist_complex", work)
         for threshold in (1, 5):
             with pytest.raises(Unsupported, match="threshold"):
@@ -403,6 +403,29 @@ class TestCellSweep:
         cx = exceptional_koszul(FLOP, "plus", -3)
         assert total_cohomology(hypercohomology_table(cx, 3)) == {2: 1}
         assert calls and set(calls) == {cx.term_count()}
+
+
+class TestFirstPage:
+    @pytest.mark.parametrize(
+        "space, twist", [("minus", -4), ("minus", 1), ("plus", -6), ("Y", (1, 0)), ("Y", (-3, -1))]
+    )
+    def test_one_term_cells_need_no_reduction(self, monkeypatch, space, twist):
+        # One term is one column of the first page: its Cech cohomology, the
+        # per-pattern dims the reference computes (and caches) first, is the
+        # answer, with no double complex reduced.
+        from orbiflip import sheaves
+
+        def forbidden(*args):
+            raise AssertionError("a double complex was reduced")
+
+        cx = single_twist_complex(FLOP, space, twist)
+        value = twist[0] - twist[1] if space == "Y" else twist
+        chars = list(characters_of_degree(FLOP, space, value, low=-5, high=4))
+        want = [character_cohomology(FLOP, space, twist, ch) for ch in chars]
+        assert any(want)
+        monkeypatch.setattr(sheaves, "chain_reduce_homology", forbidden)
+        for ch, dims in zip(chars, want):
+            assert hypercohomology_strand(cx, cx.presence_tables.cell(ch)) == dims, ch
 
 
 def _term_patterns(cx, ch):
