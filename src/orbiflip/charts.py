@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm, prod
 
 from .errors import IndexOutOfRange, TooLargeGroup
 from .weights import WeightSequence
@@ -44,10 +44,7 @@ class CyclicQuotientChart:
 
     @property
     def order(self) -> int:
-        out = 1
-        for r in self.group_orders:
-            out *= r
-        return out
+        return prod(self.group_orders)
 
     def is_trivial(self) -> bool:
         return self.order == 1
@@ -126,12 +123,7 @@ def y_chart(seq: WeightSequence, i: int, j: int) -> CyclicQuotientChart:
         raise IndexOutOfRange(f"x-index {i} not in 1..{seq.m}")
     if not 1 <= j <= seq.n:
         raise IndexOutOfRange(f"y-index {j} not in 1..{seq.n}")
-    a = 0
-    for v in seq.a:
-        a = gcd(a, v)
-    b = 0
-    for v in seq.b:
-        b = gcd(b, v)
+    a, b = gcd(*seq.a), gcd(*seq.b)
     a_prime = [v // a for v in seq.a]
     b_prime = [v // b for v in seq.b]
     o1 = a_prime[i - 1]
@@ -166,9 +158,7 @@ def is_small(chart: CyclicQuotientChart) -> bool:
     """
     check_group_order(chart)
     orders = chart.group_orders
-    lcm_all = 1
-    for r in orders:
-        lcm_all = lcm_all * r // gcd(lcm_all, r)
+    lcm_all = lcm(*orders)
     scaled = [
         [w * (lcm_all // order) for w in row]
         for order, row in zip(orders, chart.weight_rows)

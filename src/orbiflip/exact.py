@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 
 def _integer_rows(rows) -> list[list[int]]:
@@ -23,10 +23,7 @@ def _integer_rows(rows) -> list[list[int]]:
     out = []
     for row in rows:
         if any(isinstance(v, Fraction) for v in row):
-            denom = 1
-            for v in row:
-                d = v.denominator if isinstance(v, Fraction) else 1
-                denom = denom * d // gcd(denom, d)
+            denom = lcm(*(v.denominator if isinstance(v, Fraction) else 1 for v in row))
             out.append([int(v * denom) for v in row])
         else:
             out.append([int(v) for v in row])

@@ -164,8 +164,7 @@ def _enumeration_plan(seq: WeightSequence, low, high):
 
 def check_box(seq: WeightSequence, *, low, high) -> None:
     """Raise BoxTooLarge for exactly the boxes characters_of_degree refuses."""
-    if seq.m + seq.n:
-        _enumeration_plan(seq, low, high)
+    _enumeration_plan(seq, low, high)
 
 
 def characters_of_degree(
@@ -181,8 +180,6 @@ def characters_of_degree(
     """
     if space == SPACE_PLUS:
         value = -value
-    if seq.m + seq.n == 0:
-        return
     weights, lows, highs, solve_at, free = _enumeration_plan(seq, low, high)
     if not all(lows[c] <= highs[c] for c in free):
         return
@@ -282,8 +279,6 @@ class MonomialComplex:
                 if space == SPACE_Y:
                     da, db = degree(seq, SPACE_Y, g)
                     r = (term.twist[0] - term.twist[1]) + (da - db)
-                elif space == SPACE_MODULE:
-                    r = term.twist + degree(seq, SPACE_MODULE, g)
                 else:
                     r = term.twist + degree(seq, space, g)
                 if ref is None:
@@ -310,20 +305,48 @@ class MonomialComplex:
                         f"entry {gamma.render()} is not a section of O({delta})"
                     )
 
-        # d o d = 0, coefficientwise (monomials agree automatically).
+        # d o d = 0, coefficientwise (monomials agree automatically), with the
+        # next differential grouped by source row.
         for d, tab in self.diffs.items():
             nxt = self.diffs.get(d + 1)
             if not nxt:
                 continue
+            rows: dict[int, list[tuple[int, Fraction]]] = {}
+            for (j, k), c2 in nxt.items():
+                rows.setdefault(j, []).append((k, c2))
             acc: dict[tuple[int, int], Fraction] = {}
             for (i, j), c1 in tab.items():
-                for (j2, k), c2 in nxt.items():
-                    if j2 == j:
-                        key = (i, k)
-                        acc[key] = acc.get(key, Fraction(0)) + c1 * c2
+                for k, c2 in rows.get(j, ()):
+                    key = (i, k)
+                    acc[key] = acc.get(key, Fraction(0)) + c1 * c2
             for key, total in acc.items():
                 if total != 0:
                     raise InconsistentDegrees(f"d o d != 0 at {d}, entry {key}")
+
+    @classmethod
+    def from_keys(cls, seq: WeightSequence, space: str, terms, entries) -> "MonomialComplex":
+        """The complex of terms and entries named by keys.
+
+        terms maps a key to its (degree, Term), and each degree numbers its
+        terms in insertion order; entries maps (source key, target key) to a
+        nonzero coefficient.  An entry whose target is not one degree above
+        its source raises InconsistentDegrees.
+        """
+        index: dict[object, tuple[int, int]] = {}
+        numbered: dict[int, list[Term]] = {}
+        for key, (d, term) in terms.items():
+            ts = numbered.setdefault(d, [])
+            index[key] = (d, len(ts))
+            ts.append(term)
+        diffs: dict[int, dict[tuple[int, int], Fraction]] = {}
+        for (src, tgt), coeff in entries.items():
+            (sd, si), (td, ti) = index[src], index[tgt]
+            if td != sd + 1:
+                raise InconsistentDegrees(
+                    f"entry from degree {sd} to degree {td} does not raise the degree by one"
+                )
+            diffs.setdefault(sd, {})[(si, ti)] = Fraction(coeff)
+        return cls(seq, space, numbered, diffs)
 
     @cached_property
     def presence_tables(self) -> "PresenceTables":
@@ -401,27 +424,17 @@ class MonomialComplex:
         """RHom(-, O(target_twist)) for a line-bundle complex: terms reflect to
         O(target - twist) at negated degrees with negated offsets; entries
         transpose with a sign making the squares anticommute."""
-        terms: dict[int, list[Term]] = {}
-        index: dict[tuple[int, int], tuple[int, int]] = {}
-        for d, ts in self.terms.items():
-            nd = -d
-            terms.setdefault(nd, [])
-            for i, t in enumerate(ts):
-                if self.space == SPACE_Y:
-                    tw = (target_twist[0] - t.twist[0], target_twist[1] - t.twist[1])
-                else:
-                    tw = target_twist - t.twist
-                index[(d, i)] = (nd, len(terms[nd]))
-                terms[nd].append(Term(tw, -t.offset))
-        diffs: dict[int, dict[tuple[int, int], Fraction]] = {}
-        for d, tab in self.diffs.items():
-            for (i, j), coeff in tab.items():
-                (sd, si) = index[(d + 1, j)]
-                (td, ti) = index[(d, i)]
-                # sd = -(d+1), td = -d = sd + 1
-                sign = -1 if sd % 2 else 1
-                diffs.setdefault(sd, {})[(si, ti)] = coeff * sign
-        return MonomialComplex(self.seq, self.space, terms, diffs)
+        terms = {
+            (d, i): (-d, Term(_twist_delta(self.space, t.twist, target_twist), -t.offset))
+            for d, ts in self.terms.items()
+            for i, t in enumerate(ts)
+        }
+        entries = {
+            ((d + 1, j), (d, i)): -coeff if (d + 1) % 2 else coeff
+            for d, tab in self.diffs.items()
+            for (i, j), coeff in tab.items()
+        }
+        return MonomialComplex.from_keys(self.seq, self.space, terms, entries)
 
     def summary(self) -> dict:
         def tw(t):
@@ -593,8 +606,6 @@ def cell_boxes(cx: MonomialComplex, value, *, low, high) -> list[tuple[tuple[int
     """
     if cx.space == SPACE_PLUS:
         value = -value
-    if cx.seq.m + cx.seq.n == 0:
-        return []
     weights, lows, highs, _, _ = _enumeration_plan(cx.seq, low, high)
     coords = cx.presence_tables.coords
     runs = [interval_runs(cuts, lo, hi) for (cuts, _), lo, hi in zip(coords, lows, highs)]

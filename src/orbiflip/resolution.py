@@ -18,9 +18,11 @@ Two certificates check what the construction returns:
    of the counts against the Hilbert series of I_k;
  * build_resolution writes out the explicit Eliahou-Kervaire differential
    on the symbols of _ek_symbols and certifies, without appeal to the
-   theorem, that it is minimal (no entry is a unit) and exact, with one
-   strand reduced per presence mask (the set of generators dividing a
-   monomial) rather than per monomial.
+   theorem, that it is minimal (no entry is a unit).  It checks exactness
+   on one strand per presence mask (the set of terms dividing a monomial)
+   rather than per monomial, but only for the masks met at weighted degree
+   at most k + sum(w) + 2.  A mask can first occur higher, and its strand
+   is then not reduced: exactness there rests on the theorem.
 
 Both count the table before building it and refuse one of more than
 TABLE_CAP symbols.
@@ -29,7 +31,6 @@ TABLE_CAP symbols.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -158,12 +159,6 @@ class ResolutionDegrees:
 
     def positions(self) -> list[int]:
         return sorted(self.degrees)
-
-    def betti_json(self) -> str:
-        rows = [
-            {"l": l, "degrees": list(self.degrees[l])} for l in self.positions()
-        ]
-        return json.dumps({"schema": "orbiflip/1", "betti": rows}, sort_keys=True)
 
 
 THRESHOLD_CAP = 64
@@ -389,8 +384,9 @@ def build_resolution(
     complex over the weighted polynomial ring.  Position l sits in
     cohomological degree 1 - l, so the complex is quasi-isomorphic to the
     ideal sheaf in degree 0.  The construction is certified minimal (no unit
-    entry) and exact on a strand grid; failures raise
-    ResolutionConstructionFailure.
+    entry) and checked exact on the strands of the presence masks met up to
+    weighted degree k + sum(weights) + 2, which need not be all of them (see
+    _verify_strand_exactness); failures raise ResolutionConstructionFailure.
     """
     if side == SPACE_PLUS:
         weights = seq.a
@@ -440,8 +436,8 @@ def _assemble(seq, space, positions, raw_diffs, extra_twist=0) -> MonomialComple
 
 @lru_cache(maxsize=None)
 def _certified_module_resolution(weights: tuple[int, ...], k: int):
-    """module_resolution plus its two certificates, minimality and exactness,
-    which together prove it minimal without the Eliahou-Kervaire theorem."""
+    """module_resolution plus its two checks: minimality, and exactness on
+    the strands _verify_strand_exactness reduces."""
     positions, raw_diffs = module_resolution(weights, k)
     _verify_minimality(weights, k, positions, raw_diffs)
     _verify_strand_exactness(weights, k, positions, raw_diffs)
@@ -474,6 +470,11 @@ def _verify_strand_exactness(weights, k, positions, raw_diffs):
     monomial that shows it (the cells of the lcm lattice of the offsets,
     Gasharov-Peeva-Welker 1999).  A monomial below k lies in no generator's
     cell, so a mask seen both below and at or above k is itself a failure.
+
+    Only the monomials up to weighted degree k + sum(w) + 2 are walked, and
+    that does not reach every mask: for w = (1, 1) at k = 5 the mask of all
+    12 terms first occurs at x^5 y^5, degree 10, so its strand is never
+    reduced.
     """
     augmentation = {(j, 0): Fraction(1) for j in range(len(positions[0]))}
     cx = _assemble(
@@ -484,8 +485,9 @@ def _verify_strand_exactness(weights, k, positions, raw_diffs):
     )
     mask_of = cx.presence_tables.mask
     below_k: dict[int, bool] = {}
-    # Every generator lies below k + sum(w); two degrees beyond cover the
-    # strands where the last syzygies meet.
+    # Every generator lies below k + sum(w), but masks met only above top are
+    # skipped (see the docstring): on four or five variables they are most
+    # masks, and reducing them all costs about ten times as much.
     top = k + sum(weights) + 2
     for d in range(top + 1):
         low = d < k

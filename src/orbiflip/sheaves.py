@@ -40,12 +40,14 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from operator import mul
 
 from .errors import (
     IndexOutOfRange,
     InconsistentDegrees,
     Unsupported,
+    UnsupportedWeights,
     WrongSide,
 )
 from .exact import chain_reduce_homology
@@ -128,8 +130,6 @@ def class_of_divisor(seq: WeightSequence, space: str, divisor: DivisorId) -> Twi
     it is a divisor only in the divisorial case n = 1 (equal to B(1)), and
     symmetrically on X+.
     """
-    from math import gcd
-
     if divisor.kind == "A":
         i = divisor.index
         if not (i and 1 <= i <= seq.m):
@@ -162,13 +162,7 @@ def class_of_divisor(seq: WeightSequence, space: str, divisor: DivisorId) -> Twi
         if space == SPACE_Y:
             if seq.m == 0 or seq.n == 0:
                 raise WrongSide("exceptional locus needs both sides nonempty")
-            ga = 0
-            for v in seq.a:
-                ga = gcd(ga, v)
-            gb = 0
-            for v in seq.b:
-                gb = gcd(gb, v)
-            c = ga * gb
+            c = gcd(*seq.a) * gcd(*seq.b)
             return TwistClass(space, (-c, -c))
         if divisor.kind == "Eminus" and space == SPACE_MINUS and seq.n == 1:
             return TwistClass(space, -seq.b[0])
@@ -706,10 +700,6 @@ def _cell_sweep(cx: MonomialComplex, lows, highs, da_floor=None) -> dict:
 # Standard complexes on the quotients.
 
 
-def _koszul_sign(pos: int) -> int:
-    return -1 if pos % 2 else 1
-
-
 def exceptional_koszul(seq: WeightSequence, side: str, d: int) -> MonomialComplex:
     """Koszul complex of the coordinate cut of the exceptional locus.
 
@@ -720,35 +710,19 @@ def exceptional_koszul(seq: WeightSequence, side: str, d: int) -> MonomialComple
     if seq.m < 2 or seq.n < 2:
         raise Unsupported("the exceptional locus needs m, n >= 2")
     if side == SPACE_PLUS:
-        weights = seq.a
-        embed = lambda exps: x_character(seq, exps)
+        weights, embed = seq.a, x_character
     elif side == SPACE_MINUS:
-        weights = seq.b
-        embed = lambda exps: y_character(seq, exps)
+        weights, embed = seq.b, y_character
     else:
         raise WrongSide(f"exceptional locus lives on a side, not {side!r}")
     count = len(weights)
-    subsets = []
-    for size in range(count + 1):
-        subsets.extend(itertools.combinations(range(count), size))
-    terms: dict[int, list[Term]] = {}
-    index: dict[tuple, tuple[int, int]] = {}
-    for sub in subsets:
-        deg = -len(sub)
-        exps = tuple(1 if i in sub else 0 for i in range(count))
-        twist = d + sum(weights[i] for i in sub)
-        terms.setdefault(deg, [])
-        index[sub] = (deg, len(terms[deg]))
-        terms[deg].append(Term(twist, embed(exps)))
-    diffs: dict[int, dict[tuple[int, int], Fraction]] = {}
-    for sub in subsets:
-        if not sub:
-            continue
-        sdeg, sidx = index[sub]
+    terms, entries = {}, {}
+    for sub in [()] + _supersets(count, frozenset()):
+        exps = [int(i in sub) for i in range(count)]
+        terms[sub] = (-len(sub), Term(d + sum(weights[i] for i in sub), embed(seq, exps)))
         for pos in range(len(sub)):
-            tdeg, tidx = index[sub[:pos] + sub[pos + 1 :]]
-            diffs.setdefault(sdeg, {})[(sidx, tidx)] = Fraction(_koszul_sign(pos))
-    return MonomialComplex(seq, side, terms, diffs)
+            entries[sub, sub[:pos] + sub[pos + 1 :]] = (-1) ** pos
+    return MonomialComplex.from_keys(seq, side, terms, entries)
 
 
 def euler_cotangent_complex(seq: WeightSequence, side: str, d: int) -> MonomialComplex:
@@ -763,79 +737,33 @@ def euler_cotangent_complex(seq: WeightSequence, side: str, d: int) -> MonomialC
     if seq.m < 2 or seq.n < 2:
         raise Unsupported("the exceptional locus needs m, n >= 2")
     if side == SPACE_PLUS:
-        if any(b != 1 for b in seq.b):
-            raise _unsupported_weights(seq, "b")
-        cut_weights = seq.a
-        fiber = seq.n
-        embed_cut = lambda exps: x_character(seq, exps)
-        embed_fiber = lambda j: y_character(
-            seq, tuple(1 if c == j else 0 for c in range(seq.n))
-        )
+        name, fiber_weights, cut_weights = "b", seq.b, seq.a
+        embed_cut, embed_fiber = x_character, y_character
     elif side == SPACE_MINUS:
-        if any(a != 1 for a in seq.a):
-            raise _unsupported_weights(seq, "a")
-        cut_weights = seq.b
-        fiber = seq.m
-        embed_cut = lambda exps: y_character(seq, exps)
-        embed_fiber = lambda i: x_character(
-            seq, tuple(1 if c == i else 0 for c in range(seq.m))
-        )
+        name, fiber_weights, cut_weights = "a", seq.a, seq.b
+        embed_cut, embed_fiber = y_character, x_character
     else:
         raise WrongSide(f"cotangent objects live on a side, not {side!r}")
+    if any(w != 1 for w in fiber_weights):
+        raise UnsupportedWeights(f"Euler cotangent objects need unit {name}-weights, got {seq}")
 
-    count = len(cut_weights)
-    subsets = []
-    for size in range(count + 1):
-        subsets.extend(itertools.combinations(range(count), size))
-
-    terms: dict[int, list[Term]] = {}
-    index: dict[tuple, tuple[int, int]] = {}
-
-    def add(key, deg, twist, offset):
-        terms.setdefault(deg, [])
-        index[key] = (deg, len(terms[deg]))
-        terms[deg].append(Term(twist, offset))
-
-    for sub in subsets:
-        exps = tuple(1 if i in sub else 0 for i in range(count))
-        a_s = sum(cut_weights[i] for i in sub)
-        base = embed_cut(exps)
+    # Keys: (S, j) for the j-th copy of O(d - 1) in the fiber row, (S, None)
+    # for the O(d) row, over the subsets S of the cut coordinates.
+    count, fiber = len(cut_weights), len(fiber_weights)
+    terms, entries = {}, {}
+    for sub in [()] + _supersets(count, frozenset()):
+        base = embed_cut(seq, [int(i in sub) for i in range(count)])
+        twist = d + sum(cut_weights[i] for i in sub)
         for j in range(fiber):
-            add(
-                (sub, 0, j),
-                -len(sub),
-                (d - 1) + a_s,
-                base + embed_fiber(j),
-            )
-        add((sub, 1, None), -len(sub) + 1, d + a_s, base)
-
-    diffs: dict[int, dict[tuple[int, int], Fraction]] = {}
-
-    def put(src_key, tgt_key, coeff):
-        sdeg, sidx = index[src_key]
-        tdeg, tidx = index[tgt_key]
-        if tdeg != sdeg + 1:
-            raise InconsistentDegrees("totalization degree mismatch")
-        diffs.setdefault(sdeg, {})[(sidx, tidx)] = Fraction(coeff)
-
-    for sub in subsets:
+            offset = base + embed_fiber(seq, [int(c == j) for c in range(fiber)])
+            terms[sub, j] = (-len(sub), Term(twist - 1, offset))
+        terms[sub, None] = (1 - len(sub), Term(twist, base))
         # Koszul differentials within each row.
         for pos in range(len(sub)):
             smaller = sub[:pos] + sub[pos + 1 :]
-            sign = _koszul_sign(pos)
-            for j in range(fiber):
-                put((sub, 0, j), (smaller, 0, j), sign)
-            put((sub, 1, None), (smaller, 1, None), sign)
+            for j in (*range(fiber), None):
+                entries[(sub, j), (smaller, j)] = (-1) ** pos
         # Euler map across rows, sign-twisted by the Koszul degree.
-        esign = -1 if len(sub) % 2 else 1
         for j in range(fiber):
-            put((sub, 0, j), (sub, 1, None), esign)
-    return MonomialComplex(seq, side, terms, diffs)
-
-
-def _unsupported_weights(seq, side_name):
-    from .errors import UnsupportedWeights
-
-    return UnsupportedWeights(
-        f"Euler cotangent objects need unit {side_name}-weights, got {seq}"
-    )
+            entries[(sub, j), (sub, None)] = (-1) ** len(sub)
+    return MonomialComplex.from_keys(seq, side, terms, entries)

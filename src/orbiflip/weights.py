@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 
 from .errors import NonPositiveKLevel, ParseError
 
@@ -30,15 +30,6 @@ KIND_EMPTY = "Empty"
 
 FF_MINUS_INTO_PLUS = "minus_into_plus"
 FF_PLUS_INTO_MINUS = "plus_into_minus"
-
-
-def _lcm(values) -> int:
-    out = 1
-    for v in values:
-        if v == 0:
-            continue
-        out = out * v // gcd(out, v)
-    return out
 
 
 @dataclass(frozen=True)
@@ -113,14 +104,7 @@ def omit_one_gcds(seq: WeightSequence) -> tuple[int, ...]:
     For a single-entry sequence the (empty) omit-one GCD is reported as 0.
     """
     entries = seq.entries()
-    out = []
-    for k in range(len(entries)):
-        g = 0
-        for i, v in enumerate(entries):
-            if i != k:
-                g = gcd(g, v)
-        out.append(g)
-    return tuple(out)
+    return tuple(gcd(*entries[:k], *entries[k + 1 :]) for k in range(len(entries)))
 
 
 def is_well_formed(seq: WeightSequence) -> bool:
@@ -155,12 +139,10 @@ def normalize(seq: WeightSequence) -> NormalizationTrace:
     pairwise coprime.
     """
     entries = seq.entries()
-    g = 0
-    for v in entries:
-        g = gcd(g, v)
+    g = gcd(*entries)
     reduced = tuple(v // g for v in entries)
     cs = omit_one_gcds(WeightSequence(reduced[: seq.m], reduced[seq.m :]))
-    ds = [_lcm(c for i, c in enumerate(cs) if i != k) for k in range(len(cs))]
+    ds = [lcm(*cs[:k], *cs[k + 1 :]) for k in range(len(cs))]
     final = tuple(v // d for v, d in zip(reduced, ds))
 
     out = WeightSequence(final[: seq.m], final[seq.m :])

@@ -73,6 +73,7 @@ class TestResolve:
         )
         assert code == 0
         data = json.loads(out)
+        assert data["schema"] == "orbiflip/1"
         assert data["betti"] == [
             {"l": 1, "degrees": [2, 2]},
             {"l": 2, "degrees": [4]},

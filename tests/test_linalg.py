@@ -332,6 +332,90 @@ class TestComplexValidation:
             MonomialComplex(s, "module", terms, diffs)
 
 
+class TestFromKeys:
+    def test_terms_numbered_in_insertion_order(self):
+        s = WeightSequence((1, 1), ())
+        c = lambda *alpha: Character(tuple(alpha), ())
+        terms = {
+            "y": (-1, Term(-1, c(0, 1))),
+            "top": (0, Term(0, c(0, 0))),
+            "xy": (-2, Term(-2, c(1, 1))),
+            "x": (-1, Term(-1, c(1, 0))),
+        }
+        entries = {("xy", "y"): 1, ("xy", "x"): -1, ("x", "top"): 1, ("y", "top"): 1}
+        cx = MonomialComplex.from_keys(s, "module", terms, entries)
+        assert list(cx.terms) == [-1, 0, -2]
+        assert cx.terms[-1] == (Term(-1, c(0, 1)), Term(-1, c(1, 0)))
+        assert cx.diffs == {
+            -2: {(0, 0): Fraction(1), (0, 1): Fraction(-1)},
+            -1: {(1, 0): Fraction(1), (0, 0): Fraction(1)},
+        }
+
+    def test_entry_must_raise_degree_by_one(self):
+        from orbiflip import InconsistentDegrees
+
+        s = WeightSequence((1, 1), ())
+        c = lambda *alpha: Character(tuple(alpha), ())
+        terms = {"xy": (-2, Term(-2, c(1, 1))), "top": (0, Term(0, c(0, 0)))}
+        with pytest.raises(InconsistentDegrees, match="raise the degree by one"):
+            MonomialComplex.from_keys(s, "module", terms, {("xy", "top"): 1})
+
+
+def _plain(cx):
+    """Terms and diffs of a complex in their stored order, as plain tuples."""
+    terms = tuple(
+        (d, tuple((t.twist, t.offset.alpha, t.offset.beta) for t in ts))
+        for d, ts in cx.terms.items()
+    )
+    diffs = tuple(
+        (d, tuple((i, j, c.numerator, c.denominator) for (i, j), c in tab.items()))
+        for d, tab in cx.diffs.items()
+    )
+    return terms, diffs
+
+
+class TestKeyedBuilders:
+    """The keyed builders return the complexes of their index-table
+    predecessors: the same terms in the same order and the same diffs."""
+
+    S = WeightSequence((1, 2), (1, 1, 1))
+
+    def test_exceptional_koszul(self):
+        from orbiflip import exceptional_koszul
+
+        assert _plain(exceptional_koszul(self.S, "plus", 0)) == (
+            (
+                (0, ((0, (0, 0), (0, 0, 0)),)),
+                (-1, ((1, (1, 0), (0, 0, 0)), (2, (0, 1), (0, 0, 0)))),
+                (-2, ((3, (1, 1), (0, 0, 0)),)),
+            ),
+            ((-1, ((0, 0, 1, 1), (1, 0, 1, 1))), (-2, ((0, 1, 1, 1), (0, 0, -1, 1)))),
+        )
+
+    def test_euler_cotangent_complex(self):
+        import hashlib
+
+        from orbiflip import euler_cotangent_complex
+
+        cx = euler_cotangent_complex(self.S, "plus", -1)
+        assert (cx.term_count(), sum(map(len, cx.diffs.values()))) == (16, 28)
+        assert hashlib.sha256(repr(_plain(cx)).encode()).hexdigest() == (
+            "c2f5bef931c67f44fbbe5631d3561f1ff4ea839e9d2c4a01cc61109457851f27"
+        )
+
+    def test_dual_into(self):
+        from orbiflip import apply, as_complex
+
+        cx = as_complex(self.S, apply(self.S, "F", 1)).dual_into(0)
+        assert _plain(cx) == (
+            (
+                (0, ((-1, (0, -1), (0, 0, 0)), (0, (-1, 0), (0, 0, 0)))),
+                (1, ((-2, (-1, -1), (0, 0, 0)),)),
+            ),
+            ((0, ((1, 0, -1, 1), (0, 0, 1, 1))),),
+        )
+
+
 # ---------------------------------------------------------------------------
 # Differential checks of the fast paths against their slow definitions.
 

@@ -113,10 +113,6 @@ class TestBettiDegrees:
     def test_zero_threshold(self):
         assert minimal_resolution_degrees((1, 1), 0).degrees == {1: (0,)}
 
-    def test_betti_json(self):
-        text = minimal_resolution_degrees((1, 2), 2).betti_json()
-        assert '"betti"' in text and '"orbiflip/1"' in text
-
     def test_permutation_invariance(self):
         left = minimal_resolution_degrees((1, 2, 3), 5).degrees
         right = minimal_resolution_degrees((3, 1, 2), 5).degrees

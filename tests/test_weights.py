@@ -64,6 +64,11 @@ class TestNormalize:
         assert trace.global_gcd == 1
         assert trace.omit_one_gcds == (1, 2, 1, 1)
 
+    def test_single_entry_sequence(self):
+        trace = normalize(seq("7;"))
+        assert trace.output == seq("1;")
+        assert (trace.global_gcd, trace.omit_one_gcds, trace.lcm_factors) == (7, (0,), (1,))
+
     def test_already_well_formed(self):
         s = seq("1,2;1,1,1")
         assert normalize(s).output == s
