@@ -2,7 +2,8 @@
 
 Exit codes: 0 all checks passed, 1 a verification failed, 2 usage or
 configuration error (a character box, chart group or resolution table over
-its limit included, and a transform input with no closed-form image).
+its limit included, a transform input with no closed-form image, and a
+standard output closed before the report was written).
 --json switches to the versioned machine-readable report (schema
 "orbiflip/1"); text output is human-oriented and not a stability surface.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .charts import atlas_report
@@ -395,7 +397,16 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors already; normalize other codes
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        # Flushed here, so that a reader who left early is met below and not
+        # by the interpreter's last flush.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout was closed (say by `| head`): send what is left to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output closed before the report was written", file=sys.stderr)
+        return EXIT_USAGE
     except (ParseError, Unsupported, PreconditionKLevel, BoxTooLarge, TooLargeGroup) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

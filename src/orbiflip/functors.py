@@ -23,6 +23,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Union
 
+from . import linalg
 from .errors import (
     InconsistentDegrees,
     PreconditionKLevel,
@@ -498,9 +499,19 @@ def pushforward_oracle_suite(
     the asserted image (O(s) or the threshold ideal I_q(s)) on X-.  The slot
     q = -sum(b) has no closed form: the rule reports NotClosedForm and the
     oracle exhibits the nonzero top direct image on the exceptional fiber.
+
+    The sweep computes two tables per slot and twist, 2 * 2 sum(b) *
+    (2 s_box + 1) in all; more than linalg.ENUMERATION_LIMIT, read at call
+    time, are refused with Unsupported before the first one.
     """
     if seq.m < 2 or seq.n < 2:
         raise Unsupported("pushforward suites need m, n >= 2")
+    tables = 2 * 2 * seq.sum_b * (2 * s_box + 1)
+    if tables > linalg.ENUMERATION_LIMIT:
+        raise Unsupported(
+            f"pushforward sweep of {seq} needs {tables} cohomology tables, above "
+            f"the enumeration limit {linalg.ENUMERATION_LIMIT}"
+        )
     rows = []
     ok = True
     for q in range(1 - seq.sum_b, seq.sum_b + 1):

@@ -14,8 +14,12 @@ minimal generator u and subset sigma of the variables before u's last one.
 Two certificates check what the construction returns:
 
  * minimal_resolution_degrees counts the symbols by position and degree with
-   generating functions, never listing one, and checks the alternating sum
-   of the counts against the Hilbert series of I_k;
+   generating functions, never listing one.  The generators whose last
+   variable is the p-th have at most w_p degrees, all in [k, k + w_p), so
+   their count G_p is folded to w_p residue classes first.  It checks the
+   alternating sum of the counts against the Hilbert series of I_k, in one
+   integer list that starts as P(t) prod_i (1 - t^w_i) - 1, P(t) counting
+   the monomials below k, and must end at zero;
  * build_resolution writes out the explicit Eliahou-Kervaire differential
    on the symbols of _ek_symbols and certifies, without appeal to the
    theorem, that it is minimal (no entry is a unit).  It checks exactness
@@ -31,6 +35,7 @@ TABLE_CAP symbols.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -246,66 +251,79 @@ def minimal_resolution_degrees(weights, k: int, cap: int | None = None) -> Resol
 
 def _betti_counts(weights, k: int) -> dict[int, list[int]]:
     """rows[l][e]: the number of Eliahou-Kervaire symbols of I_k at position
-    l and degree e.
+    l and degree e, one row of k + sum(w) degrees per position.
 
     In decreasing-weight order, let G_p(t) count the generators whose last
     variable is the p-th: each monomial of degree d < k in the variables
-    before it, times the least power of x_p that reaches k.  A symbol (u,
+    before it (a head), times the least power of x_p that reaches k.  That
+    generator has degree d + w_p ceil((k - d) / w_p) = k + ((d - k) mod w_p),
+    so G_p has at most w_p degrees, all in [k, k + w_p): the heads are summed
+    per residue class mod w_p before anything is multiplied.  A symbol (u,
     sigma) adds the weights of sigma, a subset of those variables, so
     position l counts sum_p G_p(t) e_(l-1)(t^w_1, ..., t^w_(p-1)), with e_j
-    the j-th elementary symmetric polynomial.
+    the j-th elementary symmetric polynomial, kept as its nonzero terms.
     """
     if k <= 0:
         return {1: [1]}
     top = k + sum(weights)
+    order = sorted(weights, reverse=True)
+    rows = {l: [0] * top for l in range(1, len(order) + 1)}
     # heads[d]: monomials of degree d < k in the variables so far (coin
-    # change); elementary[j][e]: coefficient of t^e in e_j of their weights.
+    # change); elementary[j]: {e: coefficient of t^e} in e_j of their weights.
     heads = [1] + [0] * (k - 1)
-    elementary = [[1] + [0] * (top - 1)]
-    rows: dict[int, list[int]] = {}
-    for w in sorted(weights, reverse=True):
-        # Degrees of G_p: d + w * ceil((k - d) / w) for each head of degree d.
-        generators = [
-            (d - (d - k) // w * w, count) for d, count in enumerate(heads) if count
-        ]
+    elementary = [{0: 1}]
+    for p, w in enumerate(order):
+        folded = [0] * w
+        for d, count in enumerate(heads):
+            if count:
+                folded[(d - k) % w] += count
+        generators = [(k + r, count) for r, count in enumerate(folded) if count]
         for j, poly in enumerate(elementary):
-            row = rows.setdefault(j + 1, [0] * top)
-            terms = [(e, c) for e, c in enumerate(poly) if c]
+            row = rows[j + 1]
             for g, count in generators:
-                for e, c in terms:
+                for e, c in poly.items():
                     row[g + e] += count * c
+        if p + 1 == len(order):
+            break
         for d in range(w, k):
             heads[d] += heads[d - w]
-        elementary.append([0] * top)
+        # e_j gains t^w e_(j-1); the highest j first reads the old e_(j-1).
+        elementary.append({})
         for j in range(len(elementary) - 1, 0, -1):
-            below, poly = elementary[j - 1], elementary[j]
-            for e in range(top - 1, w - 1, -1):
-                poly[e] += below[e - w]
+            poly = elementary[j]
+            for e, c in elementary[j - 1].items():
+                poly[e + w] = poly.get(e + w, 0) + c
     return rows
 
 
 def _check_hilbert_series(weights, k: int, rows) -> None:
     """Raise unless sum_l (-1)^(l-1) beta_l(t) = 1 - P(t) prod_i (1 - t^w_i),
-    beta_l read off the count rows (rows[l][e] twists of degree e)."""
-    top = k + sum(weights)
-    # P(t), truncated below k, times each (1 - t^w); the product has degree
-    # below top.
-    series = monomial_counts(weights, k) + [0] * (top - k)
+    beta_l read off the count rows (rows[l][e] twists of degree e).
+
+    The right side comes from the weights alone: P(t) counts the monomials
+    of each degree below k (monomial_counts), and the product has degree
+    below k + sum(w).  One integer list starts as P(t) prod_i (1 - t^w_i) - 1
+    and adds each row with its sign; the table passes iff every entry ends
+    at zero.  The list is as long as the longest row, so a count at degree
+    k + sum(w) or above fails unless the signs cancel it.
+    """
+    size = max(k + sum(weights), max(map(len, rows.values()), default=0))
+    base = monomial_counts(weights, k) + [0] * (size - k)
     for w in weights:
-        for d in range(top - 1, w - 1, -1):
-            series[d] -= series[d - w]
-    want = {d: (d == 0) - c for d, c in enumerate(series) if (d == 0) != c}
-    got: dict[int, int] = {}
+        base[w:] = map(operator.sub, base[w:], base)
+    base[0] -= 1
+    residue = base
     for l, row in rows.items():
-        sign = (-1) ** (l - 1)
-        for e, count in enumerate(row):
-            if count:
-                got[e] = got.get(e, 0) + sign * count
-    got = {e: c for e, c in got.items() if c}
-    if got != want:
+        if len(row) < size:
+            row = row + [0] * (size - len(row))
+        residue = map(operator.add if l % 2 else operator.sub, residue, row)
+    residue = list(residue)
+    if any(residue):
+        got = map(operator.sub, residue, base)
         raise ResolutionConstructionFailure(
             f"Betti table of I_{k} over {weights} fails the Hilbert series: "
-            f"alternating sum {sorted(got.items())}, expected {sorted(want.items())}"
+            f"alternating sum {[(e, c) for e, c in enumerate(got) if c]}, "
+            f"expected {[(e, -c) for e, c in enumerate(base) if c]}"
         )
 
 

@@ -479,21 +479,29 @@ def _pattern_subsets(space: str, m: int, n: int, pattern) -> tuple:
     degree the earlier subsets carry.  Returns (cell, degree, faces) triples,
     faces listing the allowed (face, sign) pairs.
 
-    A cover of more than CHART_LIMIT charts (on Y, the m*n charts
-    {x_i y_j != 0}) is refused with Unsupported before any cell is formed.
+    Before any cell is formed, Unsupported refuses a side cover of more than
+    CHART_LIMIT charts, and a Y bicomplex of more than 2^CHART_LIMIT - 1
+    cells, (2^m - 1)(2^n - 1) before the pattern is applied: the cells, not
+    the m*n charts {x_i y_j != 0}, are what the oracle reduces.
     """
     if pattern is None:
         return ()
     if space == SPACE_Y:
-        charts, needs = m * n, ((m, pattern[0]), (n, pattern[1]))
+        needs = ((m, pattern[0]), (n, pattern[1]))
+        size = ((1 << m) - 1) * ((1 << n) - 1)
+        if size > (1 << CHART_LIMIT) - 1:
+            raise Unsupported(
+                f"a Cech bicomplex of {m} x {n} charts has {size} cells, more "
+                f"than 2^{CHART_LIMIT} - 1"
+            )
     else:
         charts = m if space == SPACE_MINUS else n
         needs = ((charts, pattern),)
-    if charts > CHART_LIMIT:
-        raise Unsupported(
-            f"a Cech cover of {charts} charts has more than 2^{CHART_LIMIT} "
-            "chart subsets"
-        )
+        if charts > CHART_LIMIT:
+            raise Unsupported(
+                f"a Cech cover of {charts} charts has more than 2^{CHART_LIMIT} "
+                "chart subsets"
+            )
     cells = list(itertools.product(*(_supersets(count, need) for count, need in needs)))
     family = set(cells)
     out = []

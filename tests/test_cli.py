@@ -3,11 +3,16 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import orbiflip
 from orbiflip.cli import main
 
 
@@ -232,6 +237,26 @@ class TestVerify:
         assert code == 1
         assert err.startswith("verification error: term O(-3, 0)") and out == ""
 
+    def test_unbounded_pushforward_sweep_refused_at_once(self, capsys, monkeypatch):
+        # 2 * 2 * (10^9 + 1) * (2 * 4 + 1) tables: refused before the first.
+        from orbiflip import functors
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a cohomology table was computed")
+
+        monkeypatch.setattr(functors, "cohomology_table", forbidden)
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "verify", "--seq", "1,1;1000000000,1", "--suite", "pushforward"
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert err == (
+            "error: pushforward sweep of 1,1;1000000000,1 needs 36000000036 cohomology "
+            "tables, above the enumeration limit 4000000\n"
+        )
+        assert out == ""
+
     def test_serre_suite_json(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--seq", "1,2;1,1,1", "--suite", "serre", "--json"
@@ -310,13 +335,14 @@ class TestCohomology:
             assert out == ""
 
     def test_chart_cover_too_large(self, capsys):
-        # 5 x 5 charts on Y: refused before any of the 2^25 subsets is formed.
+        # 7 x 7 charts on Y: a bicomplex of 127^2 cells, refused before any
+        # is formed.  5 x 5 (31^2 cells) is within the limit.
         code, out, err = run(
-            capsys, "cohomology", "--seq", "1,1,1,1,1;1,1,1,1,1", "--space", "Y",
+            capsys, "cohomology", "--seq", "1,1,1,1,1,1,1;1,1,1,1,1,1,1", "--space", "Y",
             "--twist", "0,0", "--box", "1",
         )
         assert code == 2
-        assert err.startswith("error: ") and "25 charts" in err
+        assert err.startswith("error: ") and "7 x 7 charts has 16129 cells" in err
         assert "Traceback" not in err and out == ""
 
     def test_box_too_large_is_configuration_error(self, capsys):
@@ -415,3 +441,23 @@ class TestArgvFuzz:
             check()
         finally:
             sheaves._pattern_subsets.cache_clear()
+
+
+def test_closed_stdout_is_one_error_line():
+    # The read end of the pipe is closed before the process starts, so the
+    # report's first write meets a broken pipe.
+    src = str(Path(orbiflip.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "orbiflip.cli", "resolve", "--seq", "1,1,1,1;1",
+             "--side", "plus", "--k", "12", "--json"],
+            stdout=write, stderr=subprocess.PIPE, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+    finally:
+        os.close(write)
+    assert done.returncode == 2
+    assert done.stderr == "error: standard output closed before the report was written\n"

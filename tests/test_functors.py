@@ -359,6 +359,25 @@ class TestSuites:
         ncf_rows = [r for r in rep.details["rows"] if r["image"] == "NotClosedForm"]
         assert ncf_rows and ncf_rows[0]["fiber_cohomology"][ATIYAH.n - 1] > 0
 
+    def test_pushforward_sweep_counted_against_the_enumeration_limit(self, monkeypatch):
+        # Atiyah flop, s_box = 1: 2 * 2 * sum(b) * 3 = 24 tables, the count
+        # the sweep computes.
+        from orbiflip import functors, linalg
+
+        calls = []
+        monkeypatch.setattr(functors, "cohomology_table", lambda *args, **kwargs: calls.append(args))
+        monkeypatch.setattr(linalg, "ENUMERATION_LIMIT", 24)
+        pushforward_oracle_suite(ATIYAH, s_box=1, char_box=2)
+        assert len(calls) == 24
+        monkeypatch.setattr(linalg, "ENUMERATION_LIMIT", 23)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a cohomology table was computed")
+
+        monkeypatch.setattr(functors, "cohomology_table", forbidden)
+        with pytest.raises(Unsupported, match="needs 24 cohomology tables, above the enumeration limit 23"):
+            pushforward_oracle_suite(ATIYAH, s_box=1, char_box=2)
+
     def test_serre_suite(self):
         assert serre_duality_suite([(1, 1), (1, 2)], k_bound=6).verdict
 

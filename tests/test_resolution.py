@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from orbiflip import (
@@ -178,6 +178,64 @@ class TestCountedTable:
     def test_matches_symbols_on_criterion_one_domain(self, weights, k):
         weights = tuple(weights)
         assert minimal_resolution_degrees(weights, k).degrees == symbol_betti_degrees(weights, k)
+
+
+def dense_betti_counts(weights, k: int) -> dict[int, list[int]]:
+    """Reference for resolution._betti_counts: every head degree convolved
+    with dense rows of e_j, each rescanned and rebuilt for every weight."""
+    if k <= 0:
+        return {1: [1]}
+    top = k + sum(weights)
+    # heads[d]: monomials of degree d < k in the variables so far (coin
+    # change); elementary[j][e]: coefficient of t^e in e_j of their weights.
+    heads = [1] + [0] * (k - 1)
+    elementary = [[1] + [0] * (top - 1)]
+    rows: dict[int, list[int]] = {}
+    for w in sorted(weights, reverse=True):
+        # Degrees of G_p: d + w * ceil((k - d) / w) for each head of degree d.
+        generators = [
+            (d - (d - k) // w * w, count) for d, count in enumerate(heads) if count
+        ]
+        for j, poly in enumerate(elementary):
+            row = rows.setdefault(j + 1, [0] * top)
+            terms = [(e, c) for e, c in enumerate(poly) if c]
+            for g, count in generators:
+                for e, c in terms:
+                    row[g + e] += count * c
+        for d in range(w, k):
+            heads[d] += heads[d - w]
+        elementary.append([0] * top)
+        for j in range(len(elementary) - 1, 0, -1):
+            below, poly = elementary[j - 1], elementary[j]
+            for e in range(top - 1, w - 1, -1):
+                poly[e] += below[e - w]
+    return rows
+
+
+class TestFoldedCounts:
+    """The residue-folded, sparse read-off against the dense reference."""
+
+    def test_exhaustive_on_criterion_one_domain_up_to_three_variables(self):
+        for m in (1, 2, 3):
+            for weights in itertools.product(range(1, 7), repeat=m):
+                for k in range(0, 13):
+                    got = resolution._betti_counts(weights, k)
+                    assert got == dense_betti_counts(weights, k), (weights, k)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(1, 50), min_size=4, max_size=6), st.integers(0, 64))
+    @example([1, 1, 1, 1], 12)
+    @example([50, 49, 1, 1, 1], 64)
+    @example([7, 7, 7, 7, 7, 7], 64)
+    def test_matches_dense_reference_with_four_to_six_variables(self, weights, k):
+        weights = tuple(weights)
+        try:
+            resolution.check_table_size(weights, k)
+        except Unsupported:
+            assume(False)
+        rows = resolution._betti_counts(weights, k)
+        assert rows == dense_betti_counts(weights, k)
+        resolution._check_hilbert_series(weights, k, rows)
 
 
 class TestTableCap:

@@ -231,9 +231,11 @@ class TestCechOracle:
         from orbiflip.sheaves import CHART_LIMIT, _pattern_subsets
 
         empty = frozenset()
-        # 3 * 4 == CHART_LIMIT charts: the largest Y cover, as a bicomplex
-        # of (2^3 - 1)(2^4 - 1) cells.
+        # Y is refused by its bicomplex cells, not its charts: 3 x 4 and 4 x 4
+        # charts are formed, and 1 x 12 has exactly 2^12 - 1 cells.
         assert len(_pattern_subsets("Y", 3, 4, (empty, empty))) == 7 * 15 == 105
+        assert len(_pattern_subsets("Y", 4, 4, (empty, empty))) == 15 * 15
+        assert len(_pattern_subsets("Y", 1, 12, (empty, empty))) == 2**CHART_LIMIT - 1
         with pytest.raises(Unsupported):
             _pattern_subsets("minus", CHART_LIMIT + 1, 0, empty)
         with pytest.raises(Unsupported):
@@ -252,9 +254,10 @@ class TestCechOracle:
     def test_large_cover_refused_only_when_a_character_needs_it(self):
         from orbiflip import Unsupported
 
-        # 16 charts on Y: no character of degree difference 50 fits the box,
-        # so nothing is refused; at degree difference 3 one does.
-        s = seq("1,1,1,1;1,1,1,1")
+        # 7 x 7 charts on Y, 127^2 cells: no character of degree difference
+        # 50 fits the box, so nothing is refused; at degree difference 3 one
+        # does.
+        s = seq("1,1,1,1,1,1,1;1,1,1,1,1,1,1")
         assert cohomology_table(s, "Y", (50, 0), 1) == {}
         with pytest.raises(Unsupported):
             cohomology_table(s, "Y", (3, 0), 1)
@@ -567,11 +570,12 @@ class TestTwoCoverBicomplex:
 
         monkeypatch.setattr(sheaves, "_supersets", no_cells)
         empty = frozenset()
-        for m, n in ((1, 13), (2, 7), (4, 4)):
+        for m, n in ((1, 13), (2, 12), (6, 7), (7, 7)):
+            cells = (2**m - 1) * (2**n - 1)
             with pytest.raises(Unsupported) as info:
                 sheaves._pattern_subsets("Y", m, n, (empty, empty))
             assert str(info.value) == (
-                f"a Cech cover of {m * n} charts has more than 2^12 chart subsets"
+                f"a Cech bicomplex of {m} x {n} charts has {cells} cells, more than 2^12 - 1"
             )
 
 
