@@ -1,14 +1,15 @@
 """Exact linear algebra over the rationals.
 
 Everything downstream (strand, resolution and Cech homology) reduces to the
-homology of small sparse complexes with integer or rational entries, and all
-of it goes through one engine, Gaussian chain reduction, which over a field
-eliminates the differential entirely and leaves homology dimensions as the
-surviving cell counts.  No syzygies are solved: the resolutions come in
-closed form (see resolution.py).  Rational kernels (rref, kernel_basis) and
-fraction-free (Bareiss) ranks are not called by the package; they stay as
-references for the tests, and the benchmark tracer still wraps them.  No
-floating point anywhere.
+homology of small sparse complexes, and all of it goes through one engine,
+Gaussian chain reduction, which over a field eliminates the differential
+entirely and leaves homology dimensions as the surviving cell counts.  It
+takes int or Fraction entries as given: linalg.MonomialComplex alone decides
+how a coefficient is stored, and refuses floats.  No syzygies are solved:
+the resolutions come in closed form (see resolution.py).  Rational kernels
+(rref, kernel_basis) and fraction-free (Bareiss) ranks are not called by the
+package; they stay as references for the tests, and the benchmark tracer
+still wraps them.
 """
 
 from __future__ import annotations
@@ -22,11 +23,8 @@ def _integer_rows(rows) -> list[list[int]]:
     """Scale each row by the lcm of its denominators (rank is unchanged)."""
     out = []
     for row in rows:
-        if any(isinstance(v, Fraction) for v in row):
-            denom = lcm(*(v.denominator if isinstance(v, Fraction) else 1 for v in row))
-            out.append([int(v * denom) for v in row])
-        else:
-            out.append([int(v) for v in row])
+        denom = lcm(*(v.denominator for v in row))
+        out.append([int(v * denom) for v in row])
     return out
 
 
@@ -122,15 +120,14 @@ def chain_reduce_homology(cell_degree: dict, entries: dict) -> dict[int, int]:
     entries must compose to zero.  Eliminating an entry c at (s, t) removes
     both cells and corrects every parallel pair s' -> t, s -> t' by -a*b/c;
     over a field this terminates with zero differential, so homology in each
-    degree is the number of surviving cells.  Integral coefficients are
-    kept as ints and a pivot c = +-1 divides as a*c, so reductions with unit
-    pivots stay in int arithmetic; any other pivot divides through Fraction,
-    so every value stays exact.
+    degree is the number of surviving cells.  Entries are ints or Fractions
+    and are used as given.  A pivot c = +-1 divides as a*c, so int entries
+    with unit pivots stay in int arithmetic; any other pivot divides through
+    Fraction, so every value stays exact.
     """
     out: dict = {c: {} for c in cell_degree}
     inc: dict = {c: {} for c in cell_degree}
     for (s, t), coeff in entries.items():
-        coeff = coeff.numerator if coeff.denominator == 1 else Fraction(coeff)
         if coeff:
             out[s][t] = coeff
             inc[t][s] = coeff

@@ -10,9 +10,9 @@ cumulative monomial multidegree relative to the complex's reference sheaf.
 The strand of the complex at an absolute character chi selects in each term
 the single potential basis monomial chi - offset and keeps it when it is a
 section of the term's twist on the ambient space.  Differential entries
-store their rational coefficients alone: the monomial of an entry is the
-difference of its source and target offsets, derived only to check that the
-entry is a section.
+store their exact coefficients alone, ints or non-integral Fractions (see
+MonomialComplex): an entry's monomial is the difference of its source and
+target offsets, derived only to check that the entry is a section.
 
 Each complex is compiled once into PresenceTables: the term offsets cut every
 coordinate into intervals, the tuple of a character's interval indices is
@@ -244,10 +244,13 @@ class MonomialComplex:
 
     terms maps a cohomological degree to its tuple of Terms; diffs[d] maps
     (source_index, target_index) pairs, source in degree d and target in
-    degree d + 1, to the entry's nonzero rational coefficient.  The entry's
-    monomial is the offset difference source - target.  Construction verifies
-    that entries are honest sheaf maps (that monomial is a section of the
-    twist difference) and that d composed with d vanishes.
+    degree d + 1, to the entry's nonzero coefficient.  The entry's monomial
+    is the offset difference source - target.  Construction verifies that
+    entries are honest sheaf maps (that monomial is a section of the twist
+    difference) and that d composed with d vanishes, and it is the one place
+    that decides what a coefficient is: an int stays, a Fraction is stored
+    as its numerator when its denominator is 1, and anything else (float,
+    str, bool, Decimal) raises InconsistentDegrees.
     """
 
     def __init__(self, seq: WeightSequence, space: str, terms, diffs):
@@ -258,7 +261,7 @@ class MonomialComplex:
         self.terms: dict[int, tuple[Term, ...]] = {
             d: tuple(ts) for d, ts in terms.items() if ts
         }
-        self.diffs: dict[int, dict[tuple[int, int], Fraction]] = {
+        self.diffs: dict[int, dict[tuple[int, int], int | Fraction]] = {
             d: dict(tab) for d, tab in diffs.items() if tab
         }
         self._validate()
@@ -295,6 +298,10 @@ class MonomialComplex:
             for (i, j), coeff in tab.items():
                 if i >= len(srcs) or j >= len(tgts):
                     raise InconsistentDegrees("differential entry out of range")
+                if isinstance(coeff, Fraction) and coeff.denominator == 1:
+                    tab[(i, j)] = coeff = coeff.numerator
+                elif type(coeff) is not int and not isinstance(coeff, Fraction):
+                    raise InconsistentDegrees(f"coefficient {coeff!r} is not an int or a Fraction")
                 if coeff == 0:
                     raise InconsistentDegrees("zero coefficient stored")
                 src, tgt = srcs[i], tgts[j]
@@ -311,14 +318,13 @@ class MonomialComplex:
             nxt = self.diffs.get(d + 1)
             if not nxt:
                 continue
-            rows: dict[int, list[tuple[int, Fraction]]] = {}
+            rows: dict[int, list[tuple[int, int | Fraction]]] = {}
             for (j, k), c2 in nxt.items():
                 rows.setdefault(j, []).append((k, c2))
-            acc: dict[tuple[int, int], Fraction] = {}
+            acc: dict[tuple[int, int], int | Fraction] = {}
             for (i, j), c1 in tab.items():
                 for k, c2 in rows.get(j, ()):
-                    key = (i, k)
-                    acc[key] = acc.get(key, Fraction(0)) + c1 * c2
+                    acc[i, k] = acc.get((i, k), 0) + c1 * c2
             for key, total in acc.items():
                 if total != 0:
                     raise InconsistentDegrees(f"d o d != 0 at {d}, entry {key}")
@@ -329,8 +335,8 @@ class MonomialComplex:
 
         terms maps a key to its (degree, Term), and each degree numbers its
         terms in insertion order; entries maps (source key, target key) to a
-        nonzero coefficient.  An entry whose target is not one degree above
-        its source raises InconsistentDegrees.
+        nonzero coefficient, which the constructor checks.  An entry whose
+        target is not one degree above its source raises InconsistentDegrees.
         """
         index: dict[object, tuple[int, int]] = {}
         numbered: dict[int, list[Term]] = {}
@@ -338,14 +344,14 @@ class MonomialComplex:
             ts = numbered.setdefault(d, [])
             index[key] = (d, len(ts))
             ts.append(term)
-        diffs: dict[int, dict[tuple[int, int], Fraction]] = {}
+        diffs: dict[int, dict[tuple[int, int], int | Fraction]] = {}
         for (src, tgt), coeff in entries.items():
             (sd, si), (td, ti) = index[src], index[tgt]
             if td != sd + 1:
                 raise InconsistentDegrees(
                     f"entry from degree {sd} to degree {td} does not raise the degree by one"
                 )
-            diffs.setdefault(sd, {})[(si, ti)] = Fraction(coeff)
+            diffs.setdefault(sd, {})[(si, ti)] = coeff
         return cls(seq, space, numbered, diffs)
 
     @cached_property
@@ -363,8 +369,8 @@ class MonomialComplex:
     @cached_property
     def signature(self) -> tuple:
         """Twist- and offset-free shape of the complex: space, weights, term
-        count per degree and every entry's coefficient.  With the per-term
-        sign patterns it fixes the Cech double complex at a strand."""
+        count per degree and every (int when integral) entry coefficient.
+        With per-term sign patterns it fixes a strand's Cech double complex."""
         return (
             self.space,
             self.seq.a,
@@ -457,14 +463,14 @@ class StrandComplex:
     """The finite-dimensional restriction of a complex to one character.
 
     bases[k] lists (degree-local) term indices whose shifted character is a
-    section; entries maps ((d, c), (d + 1, r)) to the rational coefficient
-    from the c-th basis element in degree d to the r-th in degree d + 1.
+    section; entries maps ((d, c), (d + 1, r)) to the complex's stored
+    coefficient from the c-th basis element in degree d to the r-th in d + 1.
     """
 
     character: Character
     degrees: tuple[int, ...]
     bases: tuple[tuple[int, ...], ...]
-    entries: dict[tuple[tuple[int, int], tuple[int, int]], Fraction]
+    entries: dict[tuple[tuple[int, int], tuple[int, int]], int | Fraction]
 
     def dims(self) -> list[int]:
         return [len(b) for b in self.bases]

@@ -29,7 +29,8 @@ Two certificates check what the construction returns:
    is then not reduced: exactness there rests on the theorem.
 
 Both count the table before building it and refuse one of more than
-TABLE_CAP symbols.
+TABLE_CAP symbols.  build_resolution also counts the monomials its exactness
+walk would list and refuses a walk of more than linalg.ENUMERATION_LIMIT.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
@@ -341,7 +341,7 @@ def module_resolution(weights: tuple[int, ...], k: int):
 
     Returns (positions, diffs): positions[l] is the tuple of generator
     multidegrees of F_{l+1}; diffs[l - 1] maps (src, tgt) index pairs, src in
-    positions[l], tgt in positions[l - 1], to rational coefficients (the
+    positions[l], tgt in positions[l - 1], to int coefficients +-1 (the
     monomial part is the multidegree difference).  Position one keeps the
     sorted generators; later positions are sorted by (weighted degree,
     multidegree).
@@ -354,7 +354,7 @@ def module_resolution(weights: tuple[int, ...], k: int):
     """
     order = _decreasing_order(weights)
     positions: list[tuple[tuple[int, ...], ...]] = []
-    diffs: list[dict[tuple[int, int], Fraction]] = []
+    diffs: list[dict[tuple[int, int], int]] = []
     index: dict = {}
     for l, symbols in sorted(_ek_symbols(weights, k).items()):
         multidegree = {
@@ -370,11 +370,11 @@ def module_resolution(weights: tuple[int, ...], k: int):
         positions.append(tuple(multidegree[s] for s in symbols))
         if l == 1:
             continue
-        table: dict[tuple[int, int], Fraction] = {}
+        table: dict[tuple[int, int], int] = {}
         for src, (u, sigma) in enumerate(symbols):
             for r, j in enumerate(sigma, start=1):
                 rest = sigma[: r - 1] + sigma[r:]
-                sign = Fraction((-1) ** r)
+                sign = (-1) ** r
                 table[(src, prev[(u, rest)])] = sign
                 g = _beginning(weights, order, u[:j] + (u[j] + 1,) + u[j + 1 :], k)
                 # prev holds exactly the nonzero symbols of the position below.
@@ -405,6 +405,8 @@ def build_resolution(
     entry) and checked exact on the strands of the presence masks met up to
     weighted degree k + sum(weights) + 2, which need not be all of them (see
     _verify_strand_exactness); failures raise ResolutionConstructionFailure.
+    Before any work, a table of more than TABLE_CAP symbols or a walk of more
+    than linalg.ENUMERATION_LIMIT monomials is refused with Unsupported.
     """
     if side == SPACE_PLUS:
         weights = seq.a
@@ -420,6 +422,8 @@ def build_resolution(
     weights = tuple(weights)
     k = max(k, 0)
     check_threshold(k)
+    check_table_size(weights, k)
+    _strand_walk_top(weights, k)
     positions, raw_diffs = _certified_module_resolution(weights, k)
     return _assemble(seq, side, positions, raw_diffs, extra_twist)
 
@@ -473,6 +477,21 @@ def _verify_minimality(weights, k, positions, raw_diffs):
                 )
 
 
+def _strand_walk_top(weights, k: int) -> int:
+    """The highest weighted degree, k + sum(w) + 2, whose monomials
+    _verify_strand_exactness walks.  A walk that lists more monomials than
+    linalg.ENUMERATION_LIMIT, read at call time, is refused with Unsupported;
+    they are counted by monomial_counts, not listed."""
+    top = k + sum(weights) + 2
+    walk = sum(monomial_counts(weights, top + 1))
+    if walk > linalg.ENUMERATION_LIMIT:
+        raise Unsupported(
+            f"the exactness check of I_{k} over {tuple(weights)} walks {walk} monomials, "
+            f"above the enumeration limit {linalg.ENUMERATION_LIMIT}"
+        )
+    return top
+
+
 def _verify_strand_exactness(weights, k, positions, raw_diffs):
     """The augmented complex F -> R must be exact on every module strand,
     except that the strands below degree k leave R/I_k at R.
@@ -494,7 +513,7 @@ def _verify_strand_exactness(weights, k, positions, raw_diffs):
     12 terms first occurs at x^5 y^5, degree 10, so its strand is never
     reduced.
     """
-    augmentation = {(j, 0): Fraction(1) for j in range(len(positions[0]))}
+    augmentation = {(j, 0): 1 for j in range(len(positions[0]))}
     cx = _assemble(
         _module_sequence(weights),
         SPACE_MODULE,
@@ -506,7 +525,7 @@ def _verify_strand_exactness(weights, k, positions, raw_diffs):
     # Every generator lies below k + sum(w), but masks met only above top are
     # skipped (see the docstring): on four or five variables they are most
     # masks, and reducing them all costs about ten times as much.
-    top = k + sum(weights) + 2
+    top = _strand_walk_top(weights, k)
     for d in range(top + 1):
         low = d < k
         for mu in monomials_of_weighted_degree(tuple(weights), d):

@@ -38,7 +38,6 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from operator import mul
@@ -571,8 +570,8 @@ def hypercohomology_strand(cx: MonomialComplex, cell: tuple[int, ...]) -> dict[i
     are the answer ({} when none has).  Otherwise the whole double complex
     is built and reduced.  It is a function of the per-term sign patterns
     alone, so reductions are memoized by (complex signature, pattern
-    tuple).  Integral coefficients enter the reduction as ints, the rest as
-    Fractions.
+    tuple), a key of ints whenever the complex's coefficients are integral
+    (see MonomialComplex).  Coefficients enter the reduction as stored.
     """
     space, m, n = cx.space, cx.seq.m, cx.seq.n
     patterns = _cell_patterns(cx, cell)
@@ -588,7 +587,7 @@ def hypercohomology_strand(cx: MonomialComplex, cell: tuple[int, ...]) -> dict[i
         (d, i): _pattern_subsets(space, m, n, p) for (d, i), p in patterns
     }
     cells: dict[tuple, int] = {}
-    entries: dict[tuple, int | Fraction] = {}
+    entries: dict[tuple, object] = {}
     # Cech coboundaries within each term.
     for (d, i), family in families.items():
         term_cells, term_entries = _cech_complex(family, (d, i), d)
@@ -597,8 +596,6 @@ def hypercohomology_strand(cx: MonomialComplex, cell: tuple[int, ...]) -> dict[i
     # Term differentials, sign-twisted by the Cech degree.
     for d, tab in cx.diffs.items():
         for (i, j), coeff in tab.items():
-            if coeff.denominator == 1:
-                coeff = coeff.numerator
             for cell, cech_degree, _ in families.get((d, i), ()):
                 if (d + 1, j, cell) not in cells:
                     raise InconsistentDegrees(

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import functools
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -137,6 +138,9 @@ class TestExactCore:
             if h:
                 want[d] = h
         assert chain_reduce_homology(cells, entries) == want
+        # The same complex with every entry a Fraction reduces alike.
+        as_fractions = {key: Fraction(v) for key, v in entries.items()}
+        assert chain_reduce_homology(cells, as_fractions) == want
 
 
 def _strand_source(s, k, kind):
@@ -350,6 +354,7 @@ class TestFromKeys:
             -2: {(0, 0): Fraction(1), (0, 1): Fraction(-1)},
             -1: {(1, 0): Fraction(1), (0, 0): Fraction(1)},
         }
+        assert {type(c) for tab in cx.diffs.values() for c in tab.values()} == {int}
 
     def test_entry_must_raise_degree_by_one(self):
         from orbiflip import InconsistentDegrees
@@ -359,6 +364,55 @@ class TestFromKeys:
         terms = {"xy": (-2, Term(-2, c(1, 1))), "top": (0, Term(0, c(0, 0)))}
         with pytest.raises(InconsistentDegrees, match="raise the degree by one"):
             MonomialComplex.from_keys(s, "module", terms, {("xy", "top"): 1})
+
+
+class TestCoefficientContract:
+    """MonomialComplex alone decides how a coefficient is stored: ints stay,
+    integral Fractions become ints, other Fractions stay, anything else is
+    refused."""
+
+    S = WeightSequence((1, 1), ())
+
+    def _line(self, coeff):
+        """Keys, terms and entries of x1 : O(-1) -> O, one entry of coeff."""
+        c = lambda *alpha: Character(tuple(alpha), ())
+        terms = {-1: [Term(-1, c(1, 0))], 0: [Term(0, c(0, 0))]}
+        keyed = {"x": (-1, terms[-1][0]), "top": (0, terms[0][0])}
+        return terms, {-1: {(0, 0): coeff}}, keyed, {("x", "top"): coeff}
+
+    @pytest.mark.parametrize("coeff", [0.5, 1.0, "1", True, Decimal("1")], ids=repr)
+    def test_inexact_coefficients_refused(self, coeff):
+        from orbiflip import InconsistentDegrees
+
+        terms, diffs, keyed, entries = self._line(coeff)
+        with pytest.raises(InconsistentDegrees, match="not an int or a Fraction"):
+            MonomialComplex(self.S, "module", terms, diffs)
+        with pytest.raises(InconsistentDegrees, match="not an int or a Fraction"):
+            MonomialComplex.from_keys(self.S, "module", keyed, entries)
+
+    @pytest.mark.parametrize(
+        "coeff, stored", [(Fraction(3, 1), 3), (Fraction(1, 2), Fraction(1, 2)), (-2, -2)]
+    )
+    def test_exact_coefficients_stored(self, coeff, stored):
+        terms, diffs, keyed, entries = self._line(coeff)
+        for cx in (
+            MonomialComplex(self.S, "module", terms, diffs),
+            MonomialComplex.from_keys(self.S, "module", keyed, entries),
+        ):
+            (got,) = cx.diffs[-1].values()
+            assert got == stored and type(got) is type(stored)
+        assert diffs[-1][(0, 0)] is coeff  # the caller's table is not rewritten
+
+    @pytest.mark.parametrize("text", ["1,1;1,1", "1,2;1,1,1", "1,2;1,3"])
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_signatures_hold_ints(self, text, k):
+        s = seq(text)
+        complexes = [
+            _strand_source(s, k, kind) for kind in ("minus", "plus", "module", "koszul", "roundtrip")
+        ]
+        complexes += [cx.dual_into(0) for cx in complexes if cx.space != "module"]
+        coeffs = [entry[-1] for cx in complexes for entry in cx.signature[-1]]
+        assert coeffs and {type(c) for c in coeffs} == {int}
 
 
 def _plain(cx):

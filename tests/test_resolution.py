@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -293,6 +294,36 @@ class TestTableCap:
     def test_zero_threshold_is_one_symbol(self, monkeypatch):
         monkeypatch.setattr(resolution, "TABLE_CAP", 1)
         assert minimal_resolution_degrees((1,) * 40, 0).degrees == {1: (0,)}
+
+
+class TestStrandWalkCap:
+    """An explicit build is refused by the monomials its exactness check
+    would walk, up to weighted degree k + sum(w) + 2, before any work."""
+
+    @staticmethod
+    def forbidden(*args):
+        raise AssertionError("construction started before the walk check")
+
+    def test_refused_before_construction(self, monkeypatch):
+        # Twelve variables of weight one at k = 1: C(27, 12) monomials up to
+        # degree 15 for a 4,095-symbol table.
+        monkeypatch.setattr(resolution, "module_resolution", self.forbidden)
+        start = time.perf_counter()
+        with pytest.raises(Unsupported, match="walks 17383860 monomials"):
+            build_resolution(WeightSequence((1,) * 12, ()), 1, "module")
+        assert time.perf_counter() - start < 1
+
+    def test_limit_is_the_walk_length(self, monkeypatch):
+        # (1, 1) at k = 1 walks the 1 + 2 + ... + 6 = 21 monomials of degree
+        # at most 5.
+        from orbiflip import linalg
+
+        monkeypatch.setattr(linalg, "ENUMERATION_LIMIT", 21)
+        assert build_resolution(WeightSequence((1, 1), ()), 1, "module").terms
+        monkeypatch.setattr(linalg, "ENUMERATION_LIMIT", 20)
+        monkeypatch.setattr(resolution, "module_resolution", self.forbidden)
+        with pytest.raises(Unsupported, match="walks 21 monomials, above the enumeration limit 20"):
+            build_resolution(WeightSequence((1, 1), ()), 1, "module")
 
 
 class TestHilbertSeriesCheck:
