@@ -282,11 +282,11 @@ def roundtrip_check(seq: WeightSequence, k: int, pair: str) -> VerificationRepor
     k + sum(a) + sum(b).  Each such character is a section of O(k), so the
     composite's strand homology must be one-dimensional in degree 0 there.
     The characters are not visited one by one: count_presence counts them
-    per presence mask of the composite, one strand is reduced per mask at
-    one of its characters, and each mask's count goes to strands_checked
-    (and to the mismatches when its homology is not {0: 1}).  Only the reported first mismatches and
-    matched samples come from a scan in enumeration order, which stops once
-    the counts say they are all found.  Characters with a negative exponent
+    per presence mask of the composite, one strand is reduced per mask,
+    and each mask's count goes to strands_checked (and to the mismatches
+    when its homology is not {0: 1}).  Only the reported first mismatches
+    and matched samples come from a scan in enumeration order, which stops
+    once the counts say they are all found.  Characters with a negative exponent
     are checked all at once: when every term offset of the composite is
     >= 0, every strand there is empty, as O(k)'s is, so a negative offset is
     reported as a mismatch and fails the verdict.
@@ -311,14 +311,14 @@ def roundtrip_check(seq: WeightSequence, k: int, pair: str) -> VerificationRepor
     # Every character of the box has exponents >= 0 and minus-degree k, so
     # it is a section of O(k), whose strand there is one-dimensional in
     # degree 0.  Strand homology is a function of the composite's presence
-    # mask alone, so each mask builds and checks its strand once, from one
-    # character of the mask; the mask's characters are counted.
+    # mask alone, so each mask builds and checks its strand once; the mask's
+    # characters are counted.
     expected = {0: 1}
     cells = count_presence(out, k, low=low, high=caps)
     homology = {}
     checked = wrong = 0
-    for mask, (count, ch) in cells.items():
-        st = strand(out, ch)
+    for mask, count in cells.items():
+        st = strand(out, mask)
         hom = homology[mask] = st.homology()
         if sum((-1) ** d * h for d, h in hom.items()) != st.euler_characteristic():
             raise InconsistentDegrees("strand Euler characteristic broke")

@@ -16,8 +16,11 @@ target offsets, derived only to check that the entry is a section.
 
 Each complex is compiled once into PresenceTables: the term offsets cut every
 coordinate into intervals, the tuple of a character's interval indices is
-its cell, and the cell fixes which terms its strand keeps.  A strand holds
-its differentials as the sparse entry map that chain reduction takes.
+its cell, and the cell fixes which terms its strand keeps, as a bitmask over
+the terms: the presence mask.  Strands are keyed by that mask, not by a
+character, and read the differential through the complex's one index of
+entries by source term.  A strand holds its differentials as the sparse
+entry map that chain reduction takes.
 """
 
 from __future__ import annotations
@@ -245,7 +248,10 @@ class MonomialComplex:
     terms maps a cohomological degree to its tuple of Terms; diffs[d] maps
     (source_index, target_index) pairs, source in degree d and target in
     degree d + 1, to the entry's nonzero coefficient.  The entry's monomial
-    is the offset difference source - target.  Construction verifies that
+    is the offset difference source - target.  by_source[(d, i)] lists the
+    (target_index, coefficient) pairs of source term i in degree d, in the
+    order of diffs[d]: the one index by source that strands, the Cech double
+    complex and the d o d check read.  Construction verifies that
     entries are honest sheaf maps (that monomial is a section of the twist
     difference) and that d composed with d vanishes, and it is the one place
     that decides what a coefficient is: an int stays, a Fraction is stored
@@ -292,6 +298,7 @@ class MonomialComplex:
                     )
         self.reference_degree = ref
 
+        by_source: dict[tuple[int, int], list[tuple[int, int | Fraction]]] = {}
         for d, tab in self.diffs.items():
             srcs = self.terms.get(d, ())
             tgts = self.terms.get(d + 1, ())
@@ -311,23 +318,19 @@ class MonomialComplex:
                     raise InconsistentDegrees(
                         f"entry {gamma.render()} is not a section of O({delta})"
                     )
+                by_source.setdefault((d, i), []).append((j, coeff))
+        self.by_source = by_source
 
-        # d o d = 0, coefficientwise (monomials agree automatically), with the
-        # next differential grouped by source row.
-        for d, tab in self.diffs.items():
-            nxt = self.diffs.get(d + 1)
-            if not nxt:
-                continue
-            rows: dict[int, list[tuple[int, int | Fraction]]] = {}
-            for (j, k), c2 in nxt.items():
-                rows.setdefault(j, []).append((k, c2))
-            acc: dict[tuple[int, int], int | Fraction] = {}
-            for (i, j), c1 in tab.items():
-                for k, c2 in rows.get(j, ()):
-                    acc[i, k] = acc.get((i, k), 0) + c1 * c2
-            for key, total in acc.items():
+        # d o d = 0, coefficientwise (monomials agree automatically), row by
+        # source row.
+        for (d, i), row in by_source.items():
+            acc: dict[int, int | Fraction] = {}
+            for j, c1 in row:
+                for k, c2 in by_source.get((d + 1, j), ()):
+                    acc[k] = acc.get(k, 0) + c1 * c2
+            for k, total in acc.items():
                 if total != 0:
-                    raise InconsistentDegrees(f"d o d != 0 at {d}, entry {key}")
+                    raise InconsistentDegrees(f"d o d != 0 at {d}, entry {(i, k)}")
 
     @classmethod
     def from_keys(cls, seq: WeightSequence, space: str, terms, entries) -> "MonomialComplex":
@@ -359,12 +362,6 @@ class MonomialComplex:
         """The compiled cells and strand membership rule (see
         compile_presence_tables)."""
         return compile_presence_tables(self)
-
-    def presence(self, character: Character) -> tuple[tuple[int, ...], ...]:
-        """The bases of the strand at a character: per degree from min to max
-        of the complex, the indices of its present terms."""
-        tables = self.presence_tables
-        return tables.bases(tables.mask(character))
 
     @cached_property
     def signature(self) -> tuple:
@@ -460,14 +457,14 @@ def single_twist_complex(seq: WeightSequence, space: str, twist) -> MonomialComp
 
 @dataclass(frozen=True)
 class StrandComplex:
-    """The finite-dimensional restriction of a complex to one character.
+    """The finite-dimensional restriction of a complex to one presence mask,
+    shared by every character of that mask.
 
-    bases[k] lists (degree-local) term indices whose shifted character is a
-    section; entries maps ((d, c), (d + 1, r)) to the complex's stored
+    bases[k] lists the (degree-local) indices of the mask's terms in degree
+    degrees[k]; entries maps ((d, c), (d + 1, r)) to the complex's stored
     coefficient from the c-th basis element in degree d to the r-th in d + 1.
     """
 
-    character: Character
     degrees: tuple[int, ...]
     bases: tuple[tuple[int, ...], ...]
     entries: dict[tuple[tuple[int, int], tuple[int, int]], int | Fraction]
@@ -532,9 +529,9 @@ def compile_presence_tables(cx: MonomialComplex) -> PresenceTables:
     negative on a coordinate, and on Y the threshold, is fixed for every
     term; so are the strand membership, read off by table lookup as the AND
     of the per-coordinate masks, and the per-term sign patterns and flags of
-    the Cech oracle.  MonomialComplex.presence reads these tables per
-    character; count_presence and the oracle's sweep read them per box of
-    cell_boxes, a product of runs between the cuts.
+    the Cech oracle.  mask reads these tables per character and bases
+    decodes a mask for strand; count_presence and the oracle's sweep read
+    them per box of cell_boxes, a product of runs between the cuts.
     """
     seq, space = cx.seq, cx.space
     on_y = space == SPACE_Y
@@ -630,23 +627,22 @@ def cell_boxes(cx: MonomialComplex, value, *, low, high) -> list[tuple[tuple[int
     return [box for box, _, _ in boxes]
 
 
-def count_presence(cx: MonomialComplex, value, *, low, high) -> dict[int, tuple[int, Character]]:
+def count_presence(cx: MonomialComplex, value, *, low, high) -> dict[int, int]:
     """Count the characters of characters_of_degree(seq, "minus", value,
     low=low, high=high) per presence mask of a minus-side complex (other
     sides are refused), box by box of cell_boxes, without visiting each.
 
-    Returns {mask: (count, the first character of the mask's first box)}: a
-    box's mask is the AND of its runs' masks (0 off the reference degree),
-    and a DP over the partial weighted sums of its free coordinates counts
-    its characters, the solved one of _enumeration_plan in closed form.
+    Returns {mask: count}: a box's mask is the AND of its runs' masks (0 off
+    the reference degree), and a DP over the partial weighted sums of its
+    free coordinates counts its characters, the solved one of
+    _enumeration_plan in closed form.
     """
     if cx.space != SPACE_MINUS:
         raise Unsupported("presence cells are counted on the minus side only")
-    seq, m = cx.seq, cx.seq.m
-    weights, _, _, solve_at, free = _enumeration_plan(seq, low, high)
+    weights, _, _, solve_at, free = _enumeration_plan(cx.seq, low, high)
     w_solve, tables = weights[solve_at], [masks for _, masks in cx.presence_tables.coords]
     present = value == cx.reference_degree
-    cells: dict[int, tuple[int, Character]] = {}
+    cells: dict[int, int] = {}
     for box in cell_boxes(cx, value, low=low, high=high):
         sums = {0: 1}
         for c in free:
@@ -666,40 +662,35 @@ def count_presence(cx: MonomialComplex, value, *, low, high) -> dict[int, tuple[
         mask = -1 if present else 0
         for masks, (_, _, j) in zip(tables, box):
             mask &= masks[j]
-        if mask not in cells:
-            firsts, lasts = [run[0] for run in box], [run[1] for run in box]
-            bounds = {"low": (firsts[:m], firsts[m:]), "high": (lasts[:m], lasts[m:])}
-            cells[mask] = (0, next(characters_of_degree(seq, SPACE_MINUS, value, **bounds)))
-        cells[mask] = (cells[mask][0] + count, cells[mask][1])
+        cells[mask] = cells.get(mask, 0) + count
     return cells
 
 
-def strand(cx: MonomialComplex, character: Character) -> StrandComplex:
-    """Restrict a monomial complex to one torus character.
+def strand(cx: MonomialComplex, mask: int) -> StrandComplex:
+    """Restrict a monomial complex to the terms of one presence mask.
 
-    In each term the candidate monomial is character - offset; it survives if
-    it is a section of the term's twist, as decided by the complex's compiled
-    presence test.  Entries act by coefficient; a present source mapping to
-    an absent target would violate monotonicity of section membership and
+    Strand homology is constant on a cell of the term offsets, so a strand is
+    keyed by its mask (PresenceTables.mask of any of its characters, or a key
+    of count_presence) and not by a character.  Its bases come from
+    PresenceTables.bases, and only the by_source rows of its present terms
+    are read.  Entries act by coefficient; a present source mapping to an
+    absent target would violate monotonicity of section membership and
     raises InconsistentDegrees.
     """
-    if not cx.terms:
-        return StrandComplex(character, (), (), {})
-    degrees = tuple(range(min(cx.terms), max(cx.terms) + 1))
-    bases = cx.presence(character)
+    bases = cx.presence_tables.bases(mask)
+    low = min(cx.terms, default=0)
+    degrees = tuple(range(low, low + len(bases)))
+    by_source = cx.by_source
     entries = {}
     for d, src, tgt in zip(degrees, bases, bases[1:]):
-        cols = {i: c for c, i in enumerate(src)}
         rows = {j: r for r, j in enumerate(tgt)}
-        for (i, j), coeff in cx.diffs.get(d, {}).items():
-            c = cols.get(i)
-            if c is None:
-                continue
-            r = rows.get(j)
-            if r is None:
-                raise InconsistentDegrees("present source maps to absent target in strand")
-            entries[((d, c), (d + 1, r))] = coeff
-    return StrandComplex(character, degrees, bases, entries)
+        for c, i in enumerate(src):
+            for j, coeff in by_source.get((d, i), ()):
+                r = rows.get(j)
+                if r is None:
+                    raise InconsistentDegrees("present source maps to absent target in strand")
+                entries[((d, c), (d + 1, r))] = coeff
+    return StrandComplex(degrees, bases, entries)
 
 
 def strand_by_degree(cx: MonomialComplex, value: int) -> StrandComplex:
@@ -710,16 +701,16 @@ def strand_by_degree(cx: MonomialComplex, value: int) -> StrandComplex:
     """
     if cx.space != SPACE_MODULE:
         raise Unsupported("degree strands are defined for module complexes only")
-    seq = cx.seq
+    seq, mask = cx.seq, cx.presence_tables.mask
     cap = max(value, 0)
     chars = sorted(
         ch
         for ch in characters_of_degree(seq, SPACE_MODULE, value, low=0, high=cap)
         if is_section(seq, SPACE_MODULE, None, ch)
     )
-    strands = [s for s in (strand(cx, ch) for ch in chars) if any(s.dims())]
+    strands = [s for s in (strand(cx, mask(ch)) for ch in chars) if any(s.dims())]
     if not strands:
-        return StrandComplex(zero_character(seq), (), (), {})
+        return StrandComplex((), (), {})
     degrees = strands[0].degrees  # every strand spans the complex's full range
     bases: dict[int, list[int]] = {d: [] for d in degrees}
     entries = {}
@@ -729,4 +720,4 @@ def strand_by_degree(cx: MonomialComplex, value: int) -> StrandComplex:
             entries[((d, c + len(bases[d])), (e, r + len(bases[e])))] = coeff
         for d, base in zip(degrees, s.bases):
             bases[d].extend(base)
-    return StrandComplex(zero_character(seq), degrees, tuple(map(tuple, bases.values())), entries)
+    return StrandComplex(degrees, tuple(map(tuple, bases.values())), entries)

@@ -328,11 +328,10 @@ def _check_hilbert_series(weights, k: int, rows) -> None:
 
 
 def verify_degree_bounds(res: ResolutionDegrees) -> bool:
-    """Check k <= e < k + sum(w) for every twist in the table."""
+    """Check k <= e < k + sum(w) for every twist in the table, by each
+    nonempty row's least and greatest twist (rows need not be sorted)."""
     top = res.k + sum(res.weights)
-    return all(
-        res.k <= e < top for es in res.degrees.values() for e in es
-    )
+    return all(res.k <= min(es) and max(es) < top for es in res.degrees.values() if es)
 
 
 @lru_cache(maxsize=None)
@@ -503,8 +502,8 @@ def _verify_strand_exactness(weights, k, positions, raw_diffs):
 
     A module strand depends only on its presence mask, the set of terms
     whose offsets divide the monomial: the entries are indexed by term, not
-    by character.  So one strand is reduced per distinct mask, at the first
-    monomial that shows it (the cells of the lcm lattice of the offsets,
+    by character.  So one strand is reduced per distinct mask, when the first
+    monomial that shows it is met (the cells of the lcm lattice of the offsets,
     Gasharov-Peeva-Welker 1999).  A monomial below k lies in no generator's
     cell, so a mask seen both below and at or above k is itself a failure.
 
@@ -529,8 +528,7 @@ def _verify_strand_exactness(weights, k, positions, raw_diffs):
     for d in range(top + 1):
         low = d < k
         for mu in monomials_of_weighted_degree(tuple(weights), d):
-            character = Character(mu, ())
-            mask = mask_of(character)
+            mask = mask_of(Character(mu, ()))
             if mask in below_k:
                 if below_k[mask] != low:
                     raise ResolutionConstructionFailure(
@@ -539,7 +537,7 @@ def _verify_strand_exactness(weights, k, positions, raw_diffs):
                     )
                 continue
             below_k[mask] = low
-            hom = strand(cx, character).homology()
+            hom = strand(cx, mask).homology()
             if hom != ({0: 1} if low else {}):
                 raise ResolutionConstructionFailure(
                     f"strand {mu} of I_{k} over {weights}: homology {hom}"

@@ -594,9 +594,11 @@ def hypercohomology_strand(cx: MonomialComplex, cell: tuple[int, ...]) -> dict[i
         cells.update(term_cells)
         entries.update(term_entries)
     # Term differentials, sign-twisted by the Cech degree.
-    for d, tab in cx.diffs.items():
-        for (i, j), coeff in tab.items():
-            for cell, cech_degree, _ in families.get((d, i), ()):
+    for (d, i), family in families.items():
+        if not family:
+            continue
+        for j, coeff in cx.by_source.get((d, i), ()):
+            for cell, cech_degree, _ in family:
                 if (d + 1, j, cell) not in cells:
                     raise InconsistentDegrees(
                         "chart membership not monotone along a differential"

@@ -9,6 +9,7 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -165,6 +166,24 @@ class TestTransform:
 
 
 class TestVerify:
+    @pytest.mark.parametrize(
+        "text, k_max, digest",
+        [
+            ("1,1;1,1", "3", "f41dfc1777c6c04115a068135dd6d48d00cd25f0f10277c63ed55615f3d5c3ad"),
+            ("1,2;1,1,1", "2", "cd6482ea7ad19f21e9e3fe4e093a8323d8d8308a811258e6843315bcb6851414"),
+        ],
+    )
+    def test_all_suites_json_bytes_are_pinned(self, capsys, text, k_max, digest):
+        # The default report of every suite stays byte-identical until a
+        # change says that it changes the report.
+        import hashlib
+
+        code, out, _ = run(
+            capsys, "verify", "--seq", text, "--suite", "all", "--k-max", k_max, "--json"
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_roundtrip_passes(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--seq", "1,1;1,1", "--suite", "roundtrip",

@@ -111,9 +111,9 @@ class TestRoundtrips:
         built = []
         original = functors.strand
 
-        def counting(cx, ch):
-            built.append(cx.presence(ch))
-            return original(cx, ch)
+        def counting(cx, mask):
+            built.append(mask)
+            return original(cx, mask)
 
         monkeypatch.setattr(functors, "strand", counting)
         rep = roundtrip_check(FLOP, 3, "GF")
@@ -139,7 +139,8 @@ class TestRoundtrips:
                     ]
                     assert len(off) > 50
                     for ch in off[::7]:
-                        assert strand(out, ch).homology() == {}, (str(s), k, second, ch)
+                        mask = out.presence_tables.mask(ch)
+                        assert strand(out, mask).homology() == {}, (str(s), k, second, ch)
 
     def test_negative_offset_fails_the_verdict(self, monkeypatch):
         # Translating the composite by a degree-0 character with negative
@@ -186,7 +187,7 @@ class TestRoundtrips:
         out = _roundtrip_composite(FLOP, k, "GF")
         low, caps = functors._roundtrip_caps(FLOP, k)
         patterns = list(dict.fromkeys(
-            out.presence(ch)
+            out.presence_tables.mask(ch)
             for ch in characters_of_degree(FLOP, "minus", k, low=low, high=caps)
         ))
         assert len(patterns) >= 5
@@ -200,8 +201,8 @@ class TestRoundtrips:
             def euler_characteristic(self):
                 return 2
 
-        def breaking(cx, ch):
-            return Wrong() if cx.presence(ch) == broken else original_strand(cx, ch)
+        def breaking(cx, mask):
+            return Wrong() if mask == broken else original_strand(cx, mask)
 
         monkeypatch.setattr(functors, "strand", breaking)
         got = roundtrip_check(FLOP, k, "GF").details
@@ -243,13 +244,13 @@ def _per_character_details(s, k, pair):
         if not t.offset.is_nonnegative()
     ]
     sample = []
-    target = single_twist_complex(s, "minus", k).presence
+    target = single_twist_complex(s, "minus", k).presence_tables
     memo = {}
     for ch in characters_of_degree(s, "minus", k, low=low, high=caps):
-        expected = {0: 1} if target(ch)[0] else {}
-        pattern = out.presence(ch)
+        expected = {0: 1} if target.bases(target.mask(ch))[0] else {}
+        pattern = out.presence_tables.mask(ch)
         if pattern not in memo:
-            memo[pattern] = functors.strand(out, ch).homology()
+            memo[pattern] = functors.strand(out, pattern).homology()
         hom = memo[pattern]
         checked += 1
         if hom != expected:

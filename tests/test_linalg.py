@@ -81,12 +81,13 @@ class TestExactCore:
             st_ = strand_by_degree(cx, data.draw(st.integers(0, k + 4)))
         else:
             cx = _strand_source(s, k, kind)
+            tables = cx.presence_tables
             chars = [
                 ch
                 for ch in characters_of_degree(s, cx.space, cx.reference_degree, low=0, high=k + 3)
-                if any(cx.presence(ch))
+                if any(tables.bases(tables.mask(ch)))
             ]
-            st_ = strand(cx, data.draw(st.sampled_from(chars)))
+            st_ = strand(cx, tables.mask(data.draw(st.sampled_from(chars))))
         # Dense rows (indexed by targets) of each differential, from entries.
         mats = [[[0] * len(src) for _ in tgt] for src, tgt in zip(st_.bases, st_.bases[1:])]
         for ((d, c), (_, r)), v in st_.entries.items():
@@ -216,7 +217,7 @@ def _koszul_two_variables():
 class TestStrand:
     def test_koszul_strand_is_exact(self):
         cx = _koszul_two_variables()
-        st_ = strand(cx, Character((1, 1), ()))
+        st_ = strand(cx, cx.presence_tables.mask(Character((1, 1), ())))
         assert st_.dims() == [1, 2, 1]
         assert st_.homology() == {}
 
@@ -229,7 +230,7 @@ class TestStrand:
     def test_zero_complex(self):
         s = seq("1,1;")
         cx = MonomialComplex(s, "module", {}, {})
-        st_ = strand(cx, Character((1, 0), ()))
+        st_ = strand(cx, cx.presence_tables.mask(Character((1, 0), ())))
         assert st_.degrees == ()
 
     def test_maximal_ideal_degree_one(self):
@@ -242,7 +243,7 @@ class TestStrand:
         rng = random.Random(3)
         for _ in range(40):
             ch = Character(tuple(rng.randint(0, 5) for _ in range(3)), ())
-            st_ = strand(cx, ch)
+            st_ = strand(cx, cx.presence_tables.mask(ch))
             hom = st_.homology()
             assert st_.euler_characteristic() == sum(
                 (-1) ** d * h for d, h in hom.items()
@@ -250,7 +251,7 @@ class TestStrand:
 
     def test_homology_dims_span(self):
         cx = _koszul_two_variables()
-        st_ = strand(cx, Character((2, 1), ()))
+        st_ = strand(cx, cx.presence_tables.mask(Character((2, 1), ())))
         assert st_.dims() == [1, 2, 1]
         assert st_.homology() == {}
 
@@ -270,7 +271,8 @@ class TestStrand:
         cx = build_resolution(WeightSequence(tuple(a), ()), k, "module")
         d = data.draw(st.integers(0, k + 4))
         chars = sorted(characters_of_degree(cx.seq, "module", d, low=0, high=d))
-        parts = [p for p in (strand(cx, ch) for ch in chars) if any(p.dims())]
+        mask = cx.presence_tables.mask
+        parts = [p for p in (strand(cx, mask(ch)) for ch in chars) if any(p.dims())]
         total = strand_by_degree(cx, d)
         if not parts:
             assert total.degrees == () and total.homology() == {}
@@ -545,17 +547,68 @@ class TestCompiledPresence:
         complexes = _presence_complexes(s, k)
         assert {cx.space for cx in complexes} == {"minus", "plus", "Y", "module"}
         for cx in complexes:
+            tables = cx.presence_tables
             for ch in _presence_box(cx, k + 1):
-                assert cx.presence(ch) == _per_term_bases(cx, ch), (cx.summary(), ch)
+                assert tables.bases(tables.mask(ch)) == _per_term_bases(cx, ch), (cx.summary(), ch)
 
     def test_strand_bases_come_from_the_compiled_test(self):
         cx = build_resolution(seq("1,2;1,1,1"), 3, "plus")
+        tables = cx.presence_tables
         for ch in characters_of_degree(cx.seq, "plus", cx.reference_degree, low=0, high=4):
-            assert strand(cx, ch).bases == cx.presence(ch) == _per_term_bases(cx, ch)
+            mask = tables.mask(ch)
+            assert strand(cx, mask).bases == tables.bases(mask) == _per_term_bases(cx, ch)
 
     def test_empty_complex(self):
         cx = MonomialComplex(seq("1,1;"), "module", {}, {})
-        assert cx.presence(Character((1, 0), ())) == ()
+        tables = cx.presence_tables
+        assert tables.bases(tables.mask(Character((1, 0), ()))) == ()
+
+
+def _per_character_strand(cx, character):
+    """The reference strand at one character: bases by the per-term section
+    rule, entries by a walk over every entry of every differential."""
+    from orbiflip import InconsistentDegrees, StrandComplex
+
+    if not cx.terms:
+        return StrandComplex((), (), {})
+    degrees = tuple(range(min(cx.terms), max(cx.terms) + 1))
+    bases = _per_term_bases(cx, character)
+    entries = {}
+    for d, src, tgt in zip(degrees, bases, bases[1:]):
+        cols = {i: c for c, i in enumerate(src)}
+        rows = {j: r for r, j in enumerate(tgt)}
+        for (i, j), coeff in cx.diffs.get(d, {}).items():
+            c = cols.get(i)
+            if c is None:
+                continue
+            r = rows.get(j)
+            if r is None:
+                raise InconsistentDegrees("present source maps to absent target in strand")
+            entries[((d, c), (d + 1, r))] = coeff
+    return StrandComplex(degrees, bases, entries)
+
+
+class TestMaskStrand:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(["1,1;1,1", "1,2;1,1,1", "1,1;2,1", "1,2;1,3"]),
+        st.integers(0, 3),
+        st.sampled_from(["minus", "plus", "module", "koszul", "roundtrip"]),
+    )
+    def test_matches_the_per_character_reference(self, text, k, kind):
+        # One character per mask met in the box, absent terms included: the
+        # strand of its mask against the reference strand at the character.
+        s = seq(text)
+        cx = _strand_source(s, k, kind)
+        mask = cx.presence_tables.mask
+        firsts = {}
+        for ch in characters_of_degree(s, cx.space, cx.reference_degree, low=-1, high=k + 3):
+            firsts.setdefault(mask(ch), ch)
+        assert len(firsts) > 1
+        for m, ch in firsts.items():
+            got, want = strand(cx, m), _per_character_strand(cx, ch)
+            assert (got.degrees, got.bases, got.entries) == (want.degrees, want.bases, want.entries)
+            assert got.homology() == want.homology()
 
 
 def _roundtrip_complexes(s, k, pair, image, shift, twist):
@@ -587,8 +640,7 @@ class TestPresenceCounts:
     def test_matches_per_character_count(self, text, k, pair, image, off, data):
         # Cells of the composite and of O(k), each counted on its own,
         # against a Counter over every character of the box keyed by the
-        # per-term section rule; each representative is a character of its
-        # cell: in the box, of the degree, and of the mask.
+        # per-term section rule.
         from collections import Counter
 
         from hypothesis import assume
@@ -614,18 +666,12 @@ class TestPresenceCounts:
         }
         value = k + off
         chars = list(characters_of_degree(s, "minus", value, **box))
-        flat_low, flat_high = box["low"][0] + box["low"][1], box["high"][0] + box["high"][1]
         for cx in complexes:
             patterns = [_per_term_bases(cx, ch) for ch in chars]
             cells = count_presence(cx, value, **box)
-            decoded = {cx.presence_tables.bases(mask): cell for mask, cell in cells.items()}
+            decoded = {cx.presence_tables.bases(mask): count for mask, count in cells.items()}
             assert len(decoded) == len(cells)
-            assert {p: count for p, (count, _) in decoded.items()} == Counter(patterns)
-            for mask, (_, ch) in cells.items():
-                assert cx.presence_tables.mask(ch) == mask
-                flat = ch.alpha + ch.beta
-                assert all(lo <= e <= hi for lo, e, hi in zip(flat_low, flat, flat_high))
-                assert degree(s, "minus", ch) == value
+            assert decoded == Counter(patterns)
 
     def test_box_too_large_refused_like_the_enumeration(self):
         from orbiflip import BoxTooLarge, single_twist_complex
@@ -642,7 +688,7 @@ class TestPresenceCounts:
         # equal sum t, counted per t.
         pairs = lambda t: min(t, 314 - t) + 1
         assert count_presence(cx, 0, low=0, high=157) == {
-            1: (sum(pairs(t) ** 2 for t in range(315)), Character((0, 0), (0, 0)))
+            1: sum(pairs(t) ** 2 for t in range(315))
         }
 
     def test_empty_box_and_other_sides_refused(self):
@@ -725,7 +771,7 @@ class TestCellBoxes:
         s = seq("1,1;1,1")
         cx, _ = _roundtrip_complexes(s, 60, "GF", "composite", None, None)
         low, caps = _roundtrip_caps(s, 60)
-        counted = {mask: count for mask, (count, _) in count_presence(cx, 60, low=low, high=caps).items()}
+        counted = count_presence(cx, 60, low=low, high=caps)
         chars = characters_of_degree(s, "minus", 60, low=low, high=caps)
         assert counted == Counter(map(cx.presence_tables.mask, chars))
         assert sum(counted.values()) == 62_056

@@ -398,9 +398,10 @@ def per_monomial_strand_exactness(weights, k, positions, raw_diffs):
         (((0,) * len(weights),),) + tuple(positions),
         (augmentation,) + tuple(raw_diffs),
     )
+    mask = cx.presence_tables.mask
     for d in range(k + sum(weights) + 3):
         for mu in monomials_of_weighted_degree(tuple(weights), d):
-            hom = strand(cx, Character(mu, ())).homology()
+            hom = strand(cx, mask(Character(mu, ()))).homology()
             if hom != ({0: 1} if d < k else {}):
                 raise ResolutionConstructionFailure(
                     f"strand {mu} of I_{k} over {weights}: homology {hom}"
@@ -457,9 +458,9 @@ class TestPerMaskCertificate:
         calls = []
         real = resolution.strand
 
-        def counting(cx, character):
-            calls.append(character)
-            return real(cx, character)
+        def counting(cx, mask):
+            calls.append(mask)
+            return real(cx, mask)
 
         monkeypatch.setattr(resolution, "strand", counting)
         positions, raw_diffs = resolution.module_resolution((1, 1, 1, 1), 4)
@@ -488,6 +489,27 @@ class TestDegreeBounds:
     def test_artificial_violation(self):
         bad = ResolutionDegrees((1, 1), 2, {1: (4,)})  # 4 == k + sum(w)
         assert not verify_degree_bounds(bad)
+
+    def test_unsorted_row_below_k_and_empty_row(self):
+        # The low-side violation sits mid-row, after twists in range, so a
+        # read of the row's first twist alone would miss it.
+        low = ResolutionDegrees((1, 2), 3, {1: (4, 3, 2, 5), 2: ()})
+        assert not verify_degree_bounds(low)
+        assert verify_degree_bounds(ResolutionDegrees((1, 2), 3, {1: (5, 3, 4), 2: ()}))
+        assert verify_degree_bounds(ResolutionDegrees((1, 2), 3, {}))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(1, 4), min_size=1, max_size=3),
+        st.integers(0, 8),
+        st.dictionaries(
+            st.integers(1, 4), st.lists(st.integers(-2, 16), max_size=5).map(tuple), max_size=4
+        ),
+    )
+    def test_row_extremes_match_the_per_twist_loop(self, weights, k, rows):
+        res = ResolutionDegrees(tuple(weights), k, rows)
+        top = k + sum(weights)
+        assert verify_degree_bounds(res) == all(k <= e < top for es in rows.values() for e in es)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -545,10 +567,10 @@ class TestBuildResolution:
         for text, k in [("1,2;", 2), ("1,1,1;", 2), ("1,2,3;", 5)]:
             s = seq(text)
             cx = build_resolution(s, k, "module")
-            top = k + s.sum_a + 10
+            top, mask = k + s.sum_a + 10, cx.presence_tables.mask
             for d in range(top + 1):
                 for mu in monomials_of_weighted_degree(s.a, d):
-                    hom = strand(cx, Character(mu, ())).homology()
+                    hom = strand(cx, mask(Character(mu, ()))).homology()
                     assert hom == ({0: 1} if d >= k else {}), (text, k, mu)
 
     def test_betti_euler_identity_per_degree(self):
