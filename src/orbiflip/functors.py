@@ -132,23 +132,22 @@ def as_complex(seq: WeightSequence, obj: SheafObject) -> MonomialComplex:
 
 
 def pull_complex(seq: WeightSequence, cx: MonomialComplex) -> MonomialComplex:
-    """Termwise pullback to Y; monomial matrices are carried verbatim."""
+    """Termwise pullback to Y; the differential is shared (see
+    MonomialComplex.map_terms)."""
     if cx.space == SPACE_MINUS:
         lift = lambda t: (t, 0)
     elif cx.space == SPACE_PLUS:
         lift = lambda t: (0, t)
     else:
         raise Unsupported(f"pullback starts from a side, not {cx.space!r}")
-    terms = {
-        d: [Term(lift(t.twist), t.offset) for t in ts] for d, ts in cx.terms.items()
-    }
-    return MonomialComplex(seq, SPACE_Y, terms, cx.diffs)
+    return cx.map_terms(SPACE_Y, lambda t: Term(lift(t.twist), t.offset))
 
 
 def push_complex(
     seq: WeightSequence, ycx: MonomialComplex, side: str
 ) -> tuple[SheafObject, list[int]]:
-    """Termwise pushforward by the closed-form rules.
+    """Termwise pushforward by the closed-form rules; the differential of a
+    complex of line images is shared (see MonomialComplex.map_terms).
 
     Returns the pushed object and the list of Ebar powers consumed.  A single
     term pushing to a threshold ideal gives an IdealImage; mid-complex ideal
@@ -159,14 +158,13 @@ def push_complex(
         raise Unsupported("pushforward starts on Y")
     powers: list[int] = []
     single = ycx.term_count() == 1
-    terms: dict[int, list[Term]] = {}
+    lines: dict[tuple[int, int], int] = {}
     for d, ts in sorted(ycx.terms.items()):
-        terms[d] = []
         for t in ts:
             res = pushforward_rule(seq, side, t.twist)
             powers.append(-t.twist[1] if side == SPACE_MINUS else -t.twist[0])
             if res.kind == "line":
-                terms[d].append(Term(res.twist, t.offset))
+                lines[t.twist] = res.twist
             elif res.kind == "ideal":
                 if not single:
                     raise Unsupported(
@@ -181,7 +179,7 @@ def push_complex(
                 raise PushforwardNotClosedForm(
                     f"term O{t.twist} has no closed-form image on {side}", pq=t.twist
                 )
-    return MonomialComplex(seq, side, terms, ycx.diffs), powers
+    return ycx.map_terms(side, lambda t: Term(lines[t.twist], t.offset)), powers
 
 
 def _apply_with_powers(

@@ -248,34 +248,27 @@ class MonomialComplex:
     terms maps a cohomological degree to its tuple of Terms; diffs[d] maps
     (source_index, target_index) pairs, source in degree d and target in
     degree d + 1, to the entry's nonzero coefficient.  The entry's monomial
-    is the offset difference source - target.  by_source[(d, i)] lists the
-    (target_index, coefficient) pairs of source term i in degree d, in the
-    order of diffs[d]: the one index by source that strands, the Cech double
-    complex and the d o d check read.  Construction verifies that
-    entries are honest sheaf maps (that monomial is a section of the twist
-    difference) and that d composed with d vanishes, and it is the one place
-    that decides what a coefficient is: an int stays, a Fraction is stored
-    as its numerator when its denominator is 1, and anything else (float,
-    str, bool, Decimal) raises InconsistentDegrees.
+    is the offset difference source - target.  The differential is stored
+    once, as by_source[d][i], the tuple of (target_index, coefficient) pairs
+    of source term i in degree d, which complexes made by map_terms share.
+    Construction verifies that entries are honest sheaf maps (that monomial
+    is a section of the twist difference) and that d composed with d
+    vanishes, and it is the one place that decides what a coefficient is:
+    an int stays, a Fraction is stored as its numerator when its
+    denominator is 1, and anything else (float, str, bool, Decimal) raises
+    InconsistentDegrees.
     """
 
     def __init__(self, seq: WeightSequence, space: str, terms, diffs):
+        self._check_terms(seq, space, {d: tuple(ts) for d, ts in terms.items() if ts})
+        self.by_source = self._index(diffs)
+
+    def _check_terms(self, seq: WeightSequence, space: str, terms) -> None:
+        """Check twist types, offset shapes and the common reference degree."""
         if space not in SPACES:
             raise Unsupported(f"unknown space {space!r}")
-        self.seq = seq
-        self.space = space
-        self.terms: dict[int, tuple[Term, ...]] = {
-            d: tuple(ts) for d, ts in terms.items() if ts
-        }
-        self.diffs: dict[int, dict[tuple[int, int], int | Fraction]] = {
-            d: dict(tab) for d, tab in diffs.items() if tab
-        }
-        self._validate()
-
-    def _validate(self):
-        seq, space = self.seq, self.space
         ref = None
-        for d, ts in self.terms.items():
+        for d, ts in terms.items():
             for term in ts:
                 if space == SPACE_Y:
                     if not (isinstance(term.twist, tuple) and len(term.twist) == 2):
@@ -296,41 +289,71 @@ class MonomialComplex:
                     raise InconsistentDegrees(
                         f"terms disagree on the reference degree: {r} != {ref}"
                     )
+        self.seq, self.space, self.terms = seq, space, terms
         self.reference_degree = ref
 
-        by_source: dict[tuple[int, int], list[tuple[int, int | Fraction]]] = {}
-        for d, tab in self.diffs.items():
+    def _index(self, diffs) -> dict[int, dict[int, tuple[tuple[int, int | Fraction], ...]]]:
+        """by_source of diffs, each entry and d o d = 0 checked."""
+        seq, space = self.seq, self.space
+        rows: dict[int, dict[int, list[tuple[int, int | Fraction]]]] = {}
+        for d, tab in diffs.items():
             srcs = self.terms.get(d, ())
             tgts = self.terms.get(d + 1, ())
             for (i, j), coeff in tab.items():
                 if i >= len(srcs) or j >= len(tgts):
                     raise InconsistentDegrees("differential entry out of range")
                 if isinstance(coeff, Fraction) and coeff.denominator == 1:
-                    tab[(i, j)] = coeff = coeff.numerator
+                    coeff = coeff.numerator
                 elif type(coeff) is not int and not isinstance(coeff, Fraction):
                     raise InconsistentDegrees(f"coefficient {coeff!r} is not an int or a Fraction")
                 if coeff == 0:
                     raise InconsistentDegrees("zero coefficient stored")
                 src, tgt = srcs[i], tgts[j]
                 gamma = src.offset - tgt.offset
-                delta = _twist_delta(self.space, src.twist, tgt.twist)
+                delta = _twist_delta(space, src.twist, tgt.twist)
                 if not is_section(seq, space, delta, gamma):
                     raise InconsistentDegrees(
                         f"entry {gamma.render()} is not a section of O({delta})"
                     )
-                by_source.setdefault((d, i), []).append((j, coeff))
-        self.by_source = by_source
+                rows.setdefault(d, {}).setdefault(i, []).append((j, coeff))
+        index = {d: {i: tuple(row) for i, row in by_i.items()} for d, by_i in rows.items()}
 
         # d o d = 0, coefficientwise (monomials agree automatically), row by
         # source row.
-        for (d, i), row in by_source.items():
-            acc: dict[int, int | Fraction] = {}
-            for j, c1 in row:
-                for k, c2 in by_source.get((d + 1, j), ()):
-                    acc[k] = acc.get(k, 0) + c1 * c2
-            for k, total in acc.items():
-                if total != 0:
-                    raise InconsistentDegrees(f"d o d != 0 at {d}, entry {(i, k)}")
+        for d, by_i in index.items():
+            after = index.get(d + 1, {})
+            for i, row in by_i.items():
+                acc: dict[int, int | Fraction] = {}
+                for j, c1 in row:
+                    for k, c2 in after.get(j, ()):
+                        acc[k] = acc.get(k, 0) + c1 * c2
+                for k, total in acc.items():
+                    if total != 0:
+                        raise InconsistentDegrees(f"d o d != 0 at {d}, entry {(i, k)}")
+        return index
+
+    def map_terms(self, space: str, term_of, degree_delta: int = 0) -> "MonomialComplex":
+        """The complex on space with term_of(t) in degree d + degree_delta for
+        each term t in degree d, sharing this complex's checked differential.
+
+        Only the terms are checked, so term_of must keep each entry a section
+        beyond what the common reference degree re-proves (offset differences,
+        and on Y the bound da >= k1).  tensor, translate, pullback and the
+        closed-form push do; coefficients never change."""
+        cx = MonomialComplex.__new__(MonomialComplex)
+        terms = {d + degree_delta: tuple(map(term_of, ts)) for d, ts in self.terms.items()}
+        cx._check_terms(self.seq, space, terms)
+        cx.by_source = {d + degree_delta: by_i for d, by_i in self.by_source.items()}
+        return cx
+
+    def row(self, d: int, i: int) -> tuple[tuple[int, int | Fraction], ...]:
+        """The (target_index, coefficient) pairs of source term i in degree d."""
+        return self.by_source.get(d, {}).get(i, ())
+
+    def entries(self) -> Iterator[tuple[int, int, int, int | Fraction]]:
+        """Every entry (d, i, j, coefficient) of the differential, by source."""
+        by_source = self.by_source
+        return ((d, i, j, c) for d in by_source for i, row in by_source[d].items() for j, c in row)
 
     @classmethod
     def from_keys(cls, seq: WeightSequence, space: str, terms, entries) -> "MonomialComplex":
@@ -373,11 +396,7 @@ class MonomialComplex:
             self.seq.a,
             self.seq.b,
             tuple((d, len(ts)) for d, ts in sorted(self.terms.items())),
-            tuple(
-                (d, i, j, coeff)
-                for d, tab in sorted(self.diffs.items())
-                for (i, j), coeff in sorted(tab.items())
-            ),
+            tuple(sorted(self.entries())),
         )
 
     def degrees(self) -> list[int]:
@@ -387,41 +406,29 @@ class MonomialComplex:
         return sum(len(ts) for ts in self.terms.values())
 
     def tensor(self, twist_delta) -> "MonomialComplex":
-        """Tensor by O(twist_delta) on the same space: twists shift, offsets stay."""
+        """Tensor by O(twist_delta) on the same space: twists shift, offsets
+        and the differential stay (shared, see map_terms)."""
         if self.space == SPACE_Y:
-            shifted = {
-                d: [
-                    Term((t.twist[0] + twist_delta[0], t.twist[1] + twist_delta[1]), t.offset)
-                    for t in ts
-                ]
-                for d, ts in self.terms.items()
-            }
+            a, b = twist_delta
+            twist = lambda k: (k[0] + a, k[1] + b)
         else:
-            shifted = {
-                d: [Term(t.twist + twist_delta, t.offset) for t in ts]
-                for d, ts in self.terms.items()
-            }
-        return MonomialComplex(self.seq, self.space, shifted, self.diffs)
+            twist = lambda k: k + twist_delta
+        return self.map_terms(self.space, lambda t: Term(twist(t.twist), t.offset))
 
     def shift(self, amount: int) -> "MonomialComplex":
         """Shift functor [amount]: degrees drop by amount, differentials keep signs
-        (only dimensions are consumed downstream)."""
-        terms = {d - amount: ts for d, ts in self.terms.items()}
-        diffs = {d - amount: tab for d, tab in self.diffs.items()}
-        return MonomialComplex(self.seq, self.space, terms, diffs)
+        (only dimensions are consumed downstream) and are shared."""
+        return self.map_terms(self.space, lambda t: t, -amount)
 
     def translate(self, offset_delta: Character, degree_delta: int = 0) -> "MonomialComplex":
         """Add a common character to every offset and shift all degrees up.
 
-        Entry monomials are offset differences, so they are unchanged; only
-        the reference point of the strand grading moves.
+        Entry monomials are offset differences, so they are unchanged and the
+        differential is shared; only the reference point of the strand
+        grading moves.
         """
-        terms = {
-            d + degree_delta: [Term(t.twist, t.offset + offset_delta) for t in ts]
-            for d, ts in self.terms.items()
-        }
-        diffs = {d + degree_delta: tab for d, tab in self.diffs.items()}
-        return MonomialComplex(self.seq, self.space, terms, diffs)
+        move = lambda t: Term(t.twist, t.offset + offset_delta)
+        return self.map_terms(self.space, move, degree_delta)
 
     def dual_into(self, target_twist) -> "MonomialComplex":
         """RHom(-, O(target_twist)) for a line-bundle complex: terms reflect to
@@ -434,8 +441,7 @@ class MonomialComplex:
         }
         entries = {
             ((d + 1, j), (d, i)): -coeff if (d + 1) % 2 else coeff
-            for d, tab in self.diffs.items()
-            for (i, j), coeff in tab.items()
+            for d, i, j, coeff in self.entries()
         }
         return MonomialComplex.from_keys(self.seq, self.space, terms, entries)
 
@@ -680,12 +686,12 @@ def strand(cx: MonomialComplex, mask: int) -> StrandComplex:
     bases = cx.presence_tables.bases(mask)
     low = min(cx.terms, default=0)
     degrees = tuple(range(low, low + len(bases)))
-    by_source = cx.by_source
     entries = {}
     for d, src, tgt in zip(degrees, bases, bases[1:]):
         rows = {j: r for r, j in enumerate(tgt)}
+        by_i = cx.by_source.get(d, {})
         for c, i in enumerate(src):
-            for j, coeff in by_source.get((d, i), ()):
+            for j, coeff in by_i.get(i, ()):
                 r = rows.get(j)
                 if r is None:
                     raise InconsistentDegrees("present source maps to absent target in strand")

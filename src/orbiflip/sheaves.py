@@ -597,7 +597,7 @@ def hypercohomology_strand(cx: MonomialComplex, cell: tuple[int, ...]) -> dict[i
     for (d, i), family in families.items():
         if not family:
             continue
-        for j, coeff in cx.by_source.get((d, i), ()):
+        for j, coeff in cx.row(d, i):
             for cell, cech_degree, _ in family:
                 if (d + 1, j, cell) not in cells:
                     raise InconsistentDegrees(

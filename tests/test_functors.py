@@ -74,7 +74,7 @@ class TestApply:
         base = apply(flip, "G", mid)
         shifted = apply(flip, "G", mid.tensor(-1))
         assert shifted.terms == base.tensor(1).terms
-        assert shifted.diffs == base.diffs
+        assert shifted.by_source == base.by_source
 
 
 class TestRoundtrips:

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 from orbiflip import (
     Character,
     MonomialComplex,
+    PushforwardNotClosedForm,
     Term,
+    Unsupported,
     WeightSequence,
     build_resolution,
     degree,
@@ -352,11 +354,8 @@ class TestFromKeys:
         cx = MonomialComplex.from_keys(s, "module", terms, entries)
         assert list(cx.terms) == [-1, 0, -2]
         assert cx.terms[-1] == (Term(-1, c(0, 1)), Term(-1, c(1, 0)))
-        assert cx.diffs == {
-            -2: {(0, 0): Fraction(1), (0, 1): Fraction(-1)},
-            -1: {(1, 0): Fraction(1), (0, 0): Fraction(1)},
-        }
-        assert {type(c) for tab in cx.diffs.values() for c in tab.values()} == {int}
+        assert cx.by_source == {-2: {0: ((0, 1), (1, -1))}, -1: {1: ((0, 1),), 0: ((0, 1),)}}
+        assert {type(c) for *_, c in cx.entries()} == {int}
 
     def test_entry_must_raise_degree_by_one(self):
         from orbiflip import InconsistentDegrees
@@ -401,7 +400,7 @@ class TestCoefficientContract:
             MonomialComplex(self.S, "module", terms, diffs),
             MonomialComplex.from_keys(self.S, "module", keyed, entries),
         ):
-            (got,) = cx.diffs[-1].values()
+            ((_, got),) = cx.row(-1, 0)
             assert got == stored and type(got) is type(stored)
         assert diffs[-1][(0, 0)] is coeff  # the caller's table is not rewritten
 
@@ -418,16 +417,13 @@ class TestCoefficientContract:
 
 
 def _plain(cx):
-    """Terms and diffs of a complex in their stored order, as plain tuples."""
+    """Terms of a complex in their stored order and its entries sorted by
+    (d, i, j), as plain tuples."""
     terms = tuple(
         (d, tuple((t.twist, t.offset.alpha, t.offset.beta) for t in ts))
         for d, ts in cx.terms.items()
     )
-    diffs = tuple(
-        (d, tuple((i, j, c.numerator, c.denominator) for (i, j), c in tab.items()))
-        for d, tab in cx.diffs.items()
-    )
-    return terms, diffs
+    return terms, tuple(sorted((d, i, j, c.numerator, c.denominator) for d, i, j, c in cx.entries()))
 
 
 class TestKeyedBuilders:
@@ -445,7 +441,7 @@ class TestKeyedBuilders:
                 (-1, ((1, (1, 0), (0, 0, 0)), (2, (0, 1), (0, 0, 0)))),
                 (-2, ((3, (1, 1), (0, 0, 0)),)),
             ),
-            ((-1, ((0, 0, 1, 1), (1, 0, 1, 1))), (-2, ((0, 1, 1, 1), (0, 0, -1, 1)))),
+            ((-2, 0, 0, -1, 1), (-2, 0, 1, 1, 1), (-1, 0, 0, 1, 1), (-1, 1, 0, 1, 1)),
         )
 
     def test_euler_cotangent_complex(self):
@@ -454,9 +450,9 @@ class TestKeyedBuilders:
         from orbiflip import euler_cotangent_complex
 
         cx = euler_cotangent_complex(self.S, "plus", -1)
-        assert (cx.term_count(), sum(map(len, cx.diffs.values()))) == (16, 28)
+        assert (cx.term_count(), len(list(cx.entries()))) == (16, 28)
         assert hashlib.sha256(repr(_plain(cx)).encode()).hexdigest() == (
-            "c2f5bef931c67f44fbbe5631d3561f1ff4ea839e9d2c4a01cc61109457851f27"
+            "168d7ccf74b1838ddce32cf20fe7b66c6dfbb5841d9f7fe7a391b31ff5054f39"
         )
 
     def test_dual_into(self):
@@ -468,7 +464,7 @@ class TestKeyedBuilders:
                 (0, ((-1, (0, -1), (0, 0, 0)), (0, (-1, 0), (0, 0, 0)))),
                 (1, ((-2, (-1, -1), (0, 0, 0)),)),
             ),
-            ((0, ((1, 0, -1, 1), (0, 0, 1, 1))),),
+            ((0, 0, 0, 1, 1), (0, 1, 0, -1, 1)),
         )
 
 
@@ -577,9 +573,9 @@ def _per_character_strand(cx, character):
     for d, src, tgt in zip(degrees, bases, bases[1:]):
         cols = {i: c for c, i in enumerate(src)}
         rows = {j: r for r, j in enumerate(tgt)}
-        for (i, j), coeff in cx.diffs.get(d, {}).items():
+        for e, i, j, coeff in cx.entries():
             c = cols.get(i)
-            if c is None:
+            if e != d or c is None:
                 continue
             r = rows.get(j)
             if r is None:
@@ -609,6 +605,88 @@ class TestMaskStrand:
             got, want = strand(cx, m), _per_character_strand(cx, ch)
             assert (got.degrees, got.bases, got.entries) == (want.degrees, want.bases, want.entries)
             assert got.homology() == want.homology()
+
+
+def _derived_complexes(cx):
+    """(parent, derived) pairs for every path that keeps a complex's
+    differential: tensor, shift, translate, the Serre twist, pullback to Y
+    and the closed-form push of line images back to either side."""
+    from orbiflip import serre_twist
+    from orbiflip.functors import pull_complex, push_complex
+
+    s = cx.seq
+    one = Character((1,) * s.m, (0,) * s.n)
+    pairs = [(cx, cx.tensor(2)), (cx, cx.shift(1)), (cx, cx.shift(-2)), (cx, cx.translate(one, 1))]
+    if cx.space in ("minus", "plus"):
+        y = pull_complex(s, cx)
+        pairs += [(cx, y), (y, y.tensor((1, -1))), (cx, serre_twist(s, cx.space, cx))]
+        pairs.append((y, serre_twist(s, "Y", y)))
+        for c in range(max(s.sum_a, s.sum_b)):
+            twisted = y.tensor((-c, -c))
+            for side in ("minus", "plus"):
+                try:
+                    pushed, _ = push_complex(s, twisted, side)
+                except (PushforwardNotClosedForm, Unsupported):
+                    continue
+                if isinstance(pushed, MonomialComplex):
+                    pairs.append((twisted, pushed))
+    return pairs
+
+
+class TestDerivedComplexes:
+    """Complexes that keep their parent's differential share its index and
+    check only their terms; the full constructor is the reference."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(["1,1;1,1", "1,2;1,1,1", "1,1;2,1", "1,2;1,3"]),
+        st.integers(0, 3),
+        st.sampled_from(["minus", "plus", "module", "koszul", "roundtrip"]),
+    )
+    def test_matches_the_full_constructor(self, text, k, kind):
+        for parent, cx in _derived_complexes(_strand_source(seq(text), k, kind)):
+            delta = min(cx.terms) - min(parent.terms)
+            tables = {}
+            for d, i, j, coeff in parent.entries():
+                tables.setdefault(d + delta, {})[(i, j)] = coeff
+            ref = MonomialComplex(cx.seq, cx.space, cx.terms, tables)
+            assert (cx.terms, cx.reference_degree, cx.by_source) == (
+                ref.terms,
+                ref.reference_degree,
+                ref.by_source,
+            )
+
+    def test_terms_are_still_checked(self):
+        from orbiflip import InconsistentDegrees
+
+        cx = build_resolution(seq("1,2;1,1,1"), 2, "minus")
+        assert cx.term_count() > 1
+        first = cx.terms[min(cx.terms)][0]
+        with pytest.raises(InconsistentDegrees, match="reference degree"):
+            cx.map_terms(cx.space, lambda t: Term(t.twist + (t is first), t.offset))
+        with pytest.raises(InconsistentDegrees, match="wrong shape"):
+            cx.translate(Character((1,), (0, 0, 0)))
+        with pytest.raises(InconsistentDegrees, match="integer twists"):
+            cx.map_terms("plus", lambda t: Term((t.twist, 0), t.offset))
+
+    def test_entries_are_not_rechecked(self, monkeypatch):
+        from orbiflip import linalg
+        from orbiflip.functors import pull_complex, push_complex
+
+        s = seq("1,2;1,1,1")
+        cx = build_resolution(s, 2, "minus")
+
+        def refuse(*args):
+            raise AssertionError("an entry was re-checked")
+
+        monkeypatch.setattr(linalg, "is_section", refuse)
+        derived = [cx.tensor(1), cx.shift(1), cx.translate(Character((1, 0), (0, 0, 1)), 2)]
+        y = pull_complex(s, cx)
+        pushed, _ = push_complex(s, y.tensor((-1, -1)), "minus")
+        assert isinstance(pushed, MonomialComplex)
+        for out in derived + [y, pushed]:
+            delta = min(out.terms) - min(cx.terms)
+            assert list(out.entries()) == [(d + delta, i, j, c) for d, i, j, c in cx.entries()]
 
 
 def _roundtrip_complexes(s, k, pair, image, shift, twist):

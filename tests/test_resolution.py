@@ -560,7 +560,7 @@ class TestBuildResolution:
             return build_resolution(seq("1,2,3;1,5"), 4, "plus")
 
         one, two = fresh(), fresh()
-        assert (one.terms, one.diffs) == (two.terms, two.diffs)
+        assert (one.terms, one.by_source) == (two.terms, two.by_source)
 
     def test_strand_exactness_deep_sweep(self):
         # Exact away from position one for strand degrees up to k + sum + 10.

@@ -476,12 +476,11 @@ def _chart_cover_hypercohomology(cx, patterns):
         cells.update(term_cells)
         entries.update(term_entries)
         families[(d, i)] = [key[2] for key in term_cells]
-    for d, tab in cx.diffs.items():
-        for (i, j), coeff in tab.items():
-            for sub in families.get((d, i), ()):
-                assert (d + 1, j, sub) in cells
-                sign = -1 if (len(sub) - 1) % 2 else 1
-                entries[((d, i, sub), (d + 1, j, sub))] = coeff * sign
+    for d, i, j, coeff in cx.entries():
+        for sub in families.get((d, i), ()):
+            assert (d + 1, j, sub) in cells
+            sign = -1 if (len(sub) - 1) % 2 else 1
+            entries[((d, i, sub), (d + 1, j, sub))] = coeff * sign
     return chain_reduce_homology(cells, entries)
 
 
