@@ -4,9 +4,9 @@ I_k is spanned by all monomials of weighted degree >= k.  Ordered by
 decreasing weight it is a stable ideal, so one Eliahou-Kervaire construction
 gives both its Betti degrees and the explicit monomial matrices of its
 minimal free resolution.  The Betti table is checked against the Hilbert
-series of I_k, the matrices are certified minimal and checked exact strand
-by strand (on the strands met up to degree k + sum(weights) + 2),
-and every twist e obeys the bound k <= e < k + sum(weights).
+series of I_k, the matrices are certified minimal and exact on every cell
+of their term offsets (one filtered reduction per run of cells), and every
+twist e obeys the bound k <= e < k + sum(weights).
 """
 
 from orbiflip import (

@@ -3,20 +3,24 @@
 Everything downstream (strand, resolution and Cech homology) reduces to the
 homology of small sparse complexes, and all of it goes through one engine,
 Gaussian chain reduction, which over a field eliminates the differential
-entirely and leaves homology dimensions as the surviving cell counts.  It
-takes int or Fraction entries as given: linalg.MonomialComplex alone decides
-how a coefficient is stored, and refuses floats.  No syzygies are solved:
-the resolutions come in closed form (see resolution.py).  Rational kernels
-(rref, kernel_basis) and fraction-free (Bareiss) ranks are not called by the
-package; they stay as references for the tests, and the benchmark tracer
-still wraps them.
+entirely and leaves homology dimensions as the surviving cell counts.  A
+filtered complex, whose prefixes are the strands along one run of cells, is
+reduced once for all its prefixes by persistence column reduction
+(filtered_homology).  Both take int or Fraction entries as given:
+linalg.MonomialComplex alone decides how a coefficient is stored, and
+refuses floats.  No syzygies are solved: the resolutions come in closed
+form (see resolution.py).  Rational kernels (rref, kernel_basis) and
+fraction-free (Bareiss) ranks are not called by the package; they stay as
+references for the tests, and the benchmark tracer still wraps them.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 from math import lcm
+
+from .errors import InconsistentDegrees
 
 
 def _integer_rows(rows) -> list[list[int]]:
@@ -181,4 +185,79 @@ def chain_reduce_homology(cell_degree: dict, entries: dict) -> dict[int, int]:
     for c in out:
         d = cell_degree[c]
         dims[d] = dims.get(d, 0) + 1
+    return dims
+
+
+def filtered_homology(cells, cell_degree, cell_step, rows, steps: int) -> list[dict[int, int]]:
+    """Homology dimensions over Q of every prefix of a filtered complex, by
+    one persistence column reduction (Zomorodian-Carlsson, Computing
+    persistent homology, 2005) with clearing (Chen-Kerber, Persistent
+    homology computation with a twist, 2011).
+
+    cells lists the cells of the complex in filtration order: by the step,
+    cell_step[c] in range(steps), at which a cell enters, and on one step the
+    higher degree (targets) first.  cell_degree[c] is the cohomological
+    degree of cell c and rows[c] the (target, coefficient) pairs of its
+    differential, which must compose to zero.  The prefix at step j holds the
+    cells entered by j and must be a subcomplex: a target that is not among
+    cells, or that comes after its source, raises InconsistentDegrees.  Only
+    the columns that are reduced are checked, but that is enough: because
+    d o d = 0, the first cell whose row meets a given target is never cleared.
+
+    Each cell's column is reduced against the pivots of the columns before
+    it in its degree, lower degrees first, so that a column whose cell is
+    already a pivot row, and would reduce to zero, is skipped (clearing).  A
+    unit pivot divides as a product, so int entries stay ints; any other
+    pivot divides through Fraction.  Each pivot pairs a source with a target
+    that enters no later, and the rank of the prefix's differential is the
+    number of pairs whose source has entered: the prefix's dims are its
+    cells per degree, less one in each degree of each such pair.  Returns
+    those dims, nonzero entries only, for every step.
+    """
+    position = {c: p for p, c in enumerate(cells)}
+    entered = list(map(cell_step.__getitem__, cells))
+    if entered != sorted(entered):
+        raise InconsistentDegrees("cells are not in the order of their entry steps")
+    change = Counter(zip(entered, map(cell_degree.__getitem__, cells)))
+    pivots: dict[int, dict] = {}
+    # sorted is stable: each degree keeps the filtration order.
+    for c in sorted(cells, key=cell_degree.__getitem__):
+        p = position[c]
+        row = rows[c]
+        if p in pivots or not row:
+            continue
+        try:
+            col = {position[t]: coeff for t, coeff in row}
+        except KeyError:
+            raise InconsistentDegrees("a target is not a cell of the filtration") from None
+        low = max(col)
+        if low >= p:
+            raise InconsistentDegrees("a source enters before its target in the filtration")
+        while True:
+            other = pivots.get(low)
+            if other is None:
+                pivots[low] = col
+                step = cell_step[c]
+                change[step, cell_degree[c]] -= 1
+                change[step, cell_degree[cells[low]]] -= 1
+                break
+            a, b = col[low], other[low]
+            factor = a * b if b == 1 or b == -1 else Fraction(a) / b
+            for q, v in other.items():
+                new = col.get(q, 0) - factor * v
+                if new:
+                    col[q] = new
+                else:
+                    del col[q]
+            if not col:
+                break
+            low = max(col)
+    per_step: list[dict[int, int]] = [{} for _ in range(steps)]
+    for (step, d), n in change.items():
+        per_step[step][d] = n
+    dims, running = [], {}
+    for at in per_step:
+        for d, n in at.items():
+            running[d] = running.get(d, 0) + n
+        dims.append({d: n for d, n in running.items() if n})
     return dims

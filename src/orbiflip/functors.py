@@ -113,6 +113,8 @@ def _coerce_input(seq: WeightSequence, side: str, u) -> MonomialComplex:
     if isinstance(u, MonomialComplex):
         if u.space != side:
             raise Unsupported(f"object lives on {u.space!r}, functor pulls from {side!r}")
+        if u.seq != seq:
+            raise InconsistentDegrees(f"object lives over {u.seq}, functor acts over {seq}")
         return u
     if isinstance(u, IdealImage):
         return as_complex(seq, u)
@@ -131,9 +133,9 @@ def as_complex(seq: WeightSequence, obj: SheafObject) -> MonomialComplex:
     return cx
 
 
-def pull_complex(seq: WeightSequence, cx: MonomialComplex) -> MonomialComplex:
-    """Termwise pullback to Y; the differential is shared (see
-    MonomialComplex.map_terms)."""
+def pull_complex(cx: MonomialComplex) -> MonomialComplex:
+    """Termwise pullback to Y of cx's sequence; the differential is shared
+    (see MonomialComplex.map_terms)."""
     if cx.space == SPACE_MINUS:
         lift = lambda t: (t, 0)
     elif cx.space == SPACE_PLUS:
@@ -143,11 +145,10 @@ def pull_complex(seq: WeightSequence, cx: MonomialComplex) -> MonomialComplex:
     return cx.map_terms(SPACE_Y, lambda t: Term(lift(t.twist), t.offset))
 
 
-def push_complex(
-    seq: WeightSequence, ycx: MonomialComplex, side: str
-) -> tuple[SheafObject, list[int]]:
-    """Termwise pushforward by the closed-form rules; the differential of a
-    complex of line images is shared (see MonomialComplex.map_terms).
+def push_complex(ycx: MonomialComplex, side: str) -> tuple[SheafObject, list[int]]:
+    """Termwise pushforward by the closed-form rules of ycx's sequence; the
+    differential of a complex of line images is shared (see
+    MonomialComplex.map_terms).
 
     Returns the pushed object and the list of Ebar powers consumed.  A single
     term pushing to a threshold ideal gives an IdealImage; mid-complex ideal
@@ -161,7 +162,7 @@ def push_complex(
     lines: dict[tuple[int, int], int] = {}
     for d, ts in sorted(ycx.terms.items()):
         for t in ts:
-            res = pushforward_rule(seq, side, t.twist)
+            res = pushforward_rule(ycx.seq, side, t.twist)
             powers.append(-t.twist[1] if side == SPACE_MINUS else -t.twist[0])
             if res.kind == "line":
                 lines[t.twist] = res.twist
@@ -188,11 +189,11 @@ def _apply_with_powers(
     """apply() plus the Ebar powers met at the pushforward."""
     spec = FunctorSpec.for_sequence(functor, seq)
     cx = _coerce_input(seq, spec.pull_side, u)
-    ycx = pull_complex(seq, cx)
+    ycx = pull_complex(cx)
     c = spec.ebar_power
     if c:
         ycx = ycx.tensor((-c, -c))
-    return push_complex(seq, ycx, spec.push_side)
+    return push_complex(ycx, spec.push_side)
 
 
 def apply(seq: WeightSequence, functor: str, u) -> SheafObject:
@@ -594,9 +595,9 @@ def example51_verify(s_values=range(-2, 4), box: int = 5) -> VerificationReport:
     skyscraper at the half-point with its nontrivial character.
     """
     seq = WeightSequence((1, 2), (1, 1, 1))
-    variant_a = pull_complex(seq, euler_cotangent_complex(seq, SPACE_PLUS, -1))
+    variant_a = pull_complex(euler_cotangent_complex(seq, SPACE_PLUS, -1))
     c = seq.sum_a - 1
-    variant_b = pull_complex(seq, euler_cotangent_complex(seq, SPACE_PLUS, 1)).tensor(
+    variant_b = pull_complex(euler_cotangent_complex(seq, SPACE_PLUS, 1)).tensor(
         (-c, -c)
     )
 

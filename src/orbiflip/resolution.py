@@ -22,31 +22,35 @@ Two certificates check what the construction returns:
    the monomials below k, and must end at zero;
  * build_resolution writes out the explicit Eliahou-Kervaire differential
    on the symbols of _ek_symbols and certifies, without appeal to the
-   theorem, that it is minimal (no entry is a unit).  It checks exactness
-   on one strand per presence mask (the set of terms dividing a monomial)
-   rather than per monomial, but only for the masks met at weighted degree
-   at most k + sum(w) + 2.  A mask can first occur higher, and its strand
-   is then not reduced: exactness there rests on the theorem.
+   theorem, that it is minimal (no entry is a unit) and that it resolves
+   I_k: the augmented complex F -> R is checked on every cell of its term
+   offsets, the finitely many boxes on which a strand is constant, with one
+   filtered reduction per run of cells along one coordinate
+   (exact.filtered_homology).
 
 Both count the table before building it and refuse one of more than
-TABLE_CAP symbols.  build_resolution also counts the monomials its exactness
-walk would list and refuses a walk of more than linalg.ENUMERATION_LIMIT.
+TABLE_CAP symbols.  build_resolution also prices its certificate from the
+weights and k alone, runs times symbols, and refuses a price above
+CERTIFICATE_LIMIT.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
 
 from . import linalg
 from .errors import ResolutionConstructionFailure, Unsupported
 
-# Not called here.  perfbench/test_perfbench.py checks that its tracer rebinds
-# this module's name for the homology engine, so the binding stays.
-from .exact import chain_reduce_homology  # noqa: F401
-from .linalg import (
+# chain_reduce_homology and strand are not called here.
+# perfbench/test_perfbench.py checks that its tracer rebinds this module's
+# names for the homology engine and for strand, so both bindings stay.
+from .exact import chain_reduce_homology, filtered_homology  # noqa: F401
+from .linalg import (  # noqa: F401
     SPACE_MINUS,
     SPACE_MODULE,
     SPACE_PLUS,
@@ -60,21 +64,6 @@ from .weights import WeightSequence
 
 def weighted_degree(weights, exponents) -> int:
     return sum(w * e for w, e in zip(weights, exponents))
-
-
-@lru_cache(maxsize=None)
-def monomials_of_weighted_degree(weights: tuple[int, ...], d: int) -> tuple[tuple[int, ...], ...]:
-    """All exponent vectors with the given weighted degree, lex order."""
-    if d < 0:
-        return ()
-    if not weights:
-        return ((),) if d == 0 else ()
-    head, *tail = weights
-    out = []
-    for e in range(d // head + 1):
-        for rest in monomials_of_weighted_degree(tuple(tail), d - head * e):
-            out.append((e,) + rest)
-    return tuple(out)
 
 
 def monomial_counts(weights, top: int) -> list[int]:
@@ -171,8 +160,15 @@ THRESHOLD_CAP = 64
 # the benchmark reach has 3,249: (1, 1, 1, 1) at k = 12, the corner of
 # acceptance criterion 1's domain.  A Betti read-off at the cap takes
 # milliseconds.  Explicit builds cost far more per symbol: that table takes
-# about 11 s to build and certify on a 2-core machine.
+# about 3 s to build and certify on a 2-core machine.
 TABLE_CAP = 10**5
+# Runs times symbols of one explicit build's exactness certificate (see
+# check_certificate_price).  Builds priced near the limit, such as (1,)*12
+# at k = 1 (8.4M), (1, 1, 1, 1) at k = 12 (7.1M) or (1, 2, 3, 4) at k = 36
+# (9.4M), take 1 to 4.5 s and at most 32 MB on a 2-core machine.  The
+# tests and demos build nothing priced above 10,000, and (1, 1, 1, 1, 1) at
+# k = 6 (6.1M, about 3 s) is accepted.
+CERTIFICATE_LIMIT = 10**7
 
 
 def check_threshold(k: int, cap: int | None = None):
@@ -185,11 +181,12 @@ def check_threshold(k: int, cap: int | None = None):
         )
 
 
-def check_table_size(weights, k: int) -> None:
-    """Raise Unsupported if the Eliahou-Kervaire table of I_k has more than
-    TABLE_CAP symbols, counted without listing any, or if the 2m + 1 dense
-    rows of k + sum(w) degrees that _betti_counts and _check_hilbert_series
-    walk, m the number of weights, exceed linalg.ENUMERATION_LIMIT.
+def check_table_size(weights, k: int) -> int:
+    """The number of symbols in the Eliahou-Kervaire table of I_k, counted
+    without listing any.  Raise Unsupported if it is above TABLE_CAP, or if
+    the 2m + 1 dense rows of k + sum(w) degrees that _betti_counts and
+    _check_hilbert_series walk, m the number of weights, exceed
+    linalg.ENUMERATION_LIMIT.
 
     The generators whose last variable is the p-th in decreasing-weight order
     are the monomials of degree below k in the p variables before it, each
@@ -214,6 +211,31 @@ def check_table_size(weights, k: int) -> None:
             f"Betti rows of I_{k} over {tuple(weights)} need {dense} entries, "
             f"above the enumeration limit {linalg.ENUMERATION_LIMIT}"
         )
+    return size
+
+
+def check_certificate_price(weights, k: int, symbols: int) -> int:
+    """The price of the exactness certificate of an explicit build of I_k, a
+    table of the given number of symbols, from weights and k alone: runs
+    times symbols, an upper bound on the columns _cell_homology reduces.
+
+    Every offset of the augmented complex has exponent at most ceil(k / w_c)
+    on coordinate c (a generator's last exponent, or a head's exponent plus
+    one for sigma), so the coordinate has at most ceil(k / w_c) + 1 intervals
+    holding monomials.  The runs lie along the coordinate with the most of
+    them, one per cell of the others.  Raise Unsupported above
+    CERTIFICATE_LIMIT, read at call time.
+    """
+    intervals = sorted(-(-k // w) + 1 for w in weights)
+    runs = prod(intervals[:-1])
+    price = runs * symbols
+    if price > CERTIFICATE_LIMIT:
+        raise Unsupported(
+            f"the exactness certificate of I_{k} over {tuple(weights)} reduces up to "
+            f"{runs} runs of {symbols} symbols, {price} in all, above the certificate "
+            f"limit {CERTIFICATE_LIMIT}"
+        )
+    return price
 
 
 def minimal_resolution_degrees(weights, k: int, cap: int | None = None) -> ResolutionDegrees:
@@ -401,11 +423,10 @@ def build_resolution(
     complex over the weighted polynomial ring.  Position l sits in
     cohomological degree 1 - l, so the complex is quasi-isomorphic to the
     ideal sheaf in degree 0.  The construction is certified minimal (no unit
-    entry) and checked exact on the strands of the presence masks met up to
-    weighted degree k + sum(weights) + 2, which need not be all of them (see
-    _verify_strand_exactness); failures raise ResolutionConstructionFailure.
-    Before any work, a table of more than TABLE_CAP symbols or a walk of more
-    than linalg.ENUMERATION_LIMIT monomials is refused with Unsupported.
+    entry) and exact on every cell of its augmented complex (see
+    _verify_exactness); failures raise ResolutionConstructionFailure.  Before
+    any work, a table of more than TABLE_CAP symbols or a certificate priced
+    above CERTIFICATE_LIMIT is refused with Unsupported.
     """
     if side == SPACE_PLUS:
         weights = seq.a
@@ -421,8 +442,7 @@ def build_resolution(
     weights = tuple(weights)
     k = max(k, 0)
     check_threshold(k)
-    check_table_size(weights, k)
-    _strand_walk_top(weights, k)
+    check_certificate_price(weights, k, check_table_size(weights, k))
     positions, raw_diffs = _certified_module_resolution(weights, k)
     return _assemble(seq, side, positions, raw_diffs, extra_twist)
 
@@ -458,10 +478,10 @@ def _assemble(seq, space, positions, raw_diffs, extra_twist=0) -> MonomialComple
 @lru_cache(maxsize=None)
 def _certified_module_resolution(weights: tuple[int, ...], k: int):
     """module_resolution plus its two checks: minimality, and exactness on
-    the strands _verify_strand_exactness reduces."""
+    every cell of the augmented complex."""
     positions, raw_diffs = module_resolution(weights, k)
     _verify_minimality(weights, k, positions, raw_diffs)
-    _verify_strand_exactness(weights, k, positions, raw_diffs)
+    _verify_exactness(weights, k, positions, raw_diffs)
     return positions, raw_diffs
 
 
@@ -476,22 +496,72 @@ def _verify_minimality(weights, k, positions, raw_diffs):
                 )
 
 
-def _strand_walk_top(weights, k: int) -> int:
-    """The highest weighted degree, k + sum(w) + 2, whose monomials
-    _verify_strand_exactness walks.  A walk that lists more monomials than
-    linalg.ENUMERATION_LIMIT, read at call time, is refused with Unsupported;
-    they are counted by monomial_counts, not listed."""
-    top = k + sum(weights) + 2
-    walk = sum(monomial_counts(weights, top + 1))
-    if walk > linalg.ENUMERATION_LIMIT:
-        raise Unsupported(
-            f"the exactness check of I_{k} over {tuple(weights)} walks {walk} monomials, "
-            f"above the enumeration limit {linalg.ENUMERATION_LIMIT}"
-        )
-    return top
+def _augmented(weights, positions, raw_diffs) -> MonomialComplex:
+    """The module complex F -> R of resolution data: the augmentation term R,
+    offset 0 in degree 0, receives each generator with coefficient 1."""
+    augmentation = {(j, 0): 1 for j in range(len(positions[0]))}
+    return _assemble(
+        _module_sequence(weights),
+        SPACE_MODULE,
+        (((0,) * len(weights),),) + tuple(positions),
+        (augmentation,) + tuple(raw_diffs),
+    )
 
 
-def _verify_strand_exactness(weights, k, positions, raw_diffs):
+def _cell_homology(cx: MonomialComplex):
+    """Yield (cell, mask, dims) for every cell of the module complex cx that
+    holds a monomial: its interval index per coordinate (from the one that
+    holds exponent 0 up to the last, unbounded one), its presence mask and
+    the homology dims of its strand, nonzero entries only.
+
+    Along one coordinate r, the masks of the cells of a run (the other
+    coordinates' intervals fixed) are nested: each grows the last by the
+    terms whose offset on r is the next cut.  The run's terms E, the AND of
+    the other coordinates' masks, form a filtered complex: a term enters at
+    the interval of its offset on r, and its targets, whose offsets lie
+    below it, no later.  exact.filtered_homology then gives every cell of
+    the run in one reduction, and runs with the same E share it.  r is the
+    coordinate with the most cuts, so the runs are fewest and longest.
+    """
+    coords = cx.presence_tables.coords
+    r = max(range(len(coords)), key=lambda c: len(coords[c][0]))
+    # Terms numbered in filtration order along r: by the interval where they
+    # enter, then by decreasing degree; per coordinate, each term's interval.
+    terms = [
+        (bisect_right(coords[r][0], t.offset.alpha[r]), -d, d, i, t.offset.alpha)
+        for d, ts in cx.terms.items()
+        for i, t in enumerate(ts)
+    ]
+    terms.sort()
+    number = {(d, i): n for n, (_, _, d, i, _) in enumerate(terms)}
+    degree_of = [d for _, _, d, _, _ in terms]
+    rows = [tuple((number[d + 1, j], c) for j, c in cx.row(d, i)) for _, _, d, i, _ in terms]
+    entry = [[bisect_right(cuts, term[4][c]) for term in terms] for c, (cuts, _) in enumerate(coords)]
+    others = [c for c in range(len(coords)) if c != r]
+    cuts_r, masks_r = coords[r]
+    steps = len(masks_r)
+    memo: dict[int, list[dict[int, int]]] = {}
+
+    def runs(level, prefix, mask, slots):
+        if level == len(others):
+            yield prefix, mask, slots
+            return
+        c = others[level]
+        cuts, masks = coords[c]
+        at = entry[c]
+        for j in range(bisect_right(cuts, 0), len(masks)):
+            kept = [n for n in slots if at[n] <= j]
+            yield from runs(level + 1, prefix + (j,), mask & masks[j], kept)
+
+    for prefix, run, slots in runs(0, (), -1, range(len(terms))):
+        dims = memo.get(run)
+        if dims is None:
+            dims = memo[run] = filtered_homology(slots, degree_of, entry[r], rows, steps)
+        for j in range(bisect_right(cuts_r, 0), steps):
+            yield prefix[:r] + (j,) + prefix[r:], run & masks_r[j], dims[j]
+
+
+def _verify_exactness(weights, k, positions, raw_diffs):
     """The augmented complex F -> R must be exact on every module strand,
     except that the strands below degree k leave R/I_k at R.
 
@@ -500,45 +570,41 @@ def _verify_strand_exactness(weights, k, positions, raw_diffs):
     Without it, strand dimensions alone do not tell I_k from another module
     with the same multigraded Hilbert function.
 
-    A module strand depends only on its presence mask, the set of terms
-    whose offsets divide the monomial: the entries are indexed by term, not
-    by character.  So one strand is reduced per distinct mask, when the first
-    monomial that shows it is met (the cells of the lcm lattice of the offsets,
-    Gasharov-Peeva-Welker 1999).  A monomial below k lies in no generator's
-    cell, so a mask seen both below and at or above k is itself a failure.
-
-    Only the monomials up to weighted degree k + sum(w) + 2 are walked, and
-    that does not reach every mask: for w = (1, 1) at k = 5 the mask of all
-    12 terms first occurs at x^5 y^5, degree 10, so its strand is never
-    reduced.
+    A module strand depends only on its cell, the intervals between the
+    term offsets that hold the monomial (the lcm lattice of the offsets,
+    Gasharov-Peeva-Welker 1999), and the cells are finitely many, because
+    the last interval on each coordinate is unbounded.  _cell_homology
+    reduces them all, one run at a time.  A cell whose mask is the
+    augmentation alone holds only monomials outside the generated ideal, so
+    it must be bounded, its upper corner must lie below k and its homology
+    must be R's; every other cell holds only multiples of a generator, so
+    its lower corner must lie at or above k and it must be exact.  Together
+    these say that the generators span I_k and that F resolves it.
     """
-    augmentation = {(j, 0): 1 for j in range(len(positions[0]))}
-    cx = _assemble(
-        _module_sequence(weights),
-        SPACE_MODULE,
-        (((0,) * len(weights),),) + tuple(positions),
-        (augmentation,) + tuple(raw_diffs),
-    )
-    mask_of = cx.presence_tables.mask
-    below_k: dict[int, bool] = {}
-    # Every generator lies below k + sum(w), but masks met only above top are
-    # skipped (see the docstring): on four or five variables they are most
-    # masks, and reducing them all costs about ten times as much.
-    top = _strand_walk_top(weights, k)
-    for d in range(top + 1):
-        low = d < k
-        for mu in monomials_of_weighted_degree(tuple(weights), d):
-            mask = mask_of(Character(mu, ()))
-            if mask in below_k:
-                if below_k[mask] != low:
-                    raise ResolutionConstructionFailure(
-                        f"strand {mu} of I_{k} over {weights}: its presence mask "
-                        "also occurs on the other side of the threshold"
-                    )
+    cx = _augmented(weights, positions, raw_diffs)
+    coords = cx.presence_tables.coords
+    (augmentation, _), = cx.presence_tables.groups[-1]
+    for cell, mask, dims in _cell_homology(cx):
+        lows = [cuts[j - 1] for (cuts, _), j in zip(coords, cell)]
+        highs = [cuts[j] - 1 if j < len(cuts) else None for (cuts, _), j in zip(coords, cell)]
+        if mask == augmentation:
+            if None in highs:
+                problem = "the augmentation alone on an unbounded cell"
+            elif weighted_degree(weights, highs) >= k:
+                problem = f"the augmentation alone up to degree {weighted_degree(weights, highs)}"
+            elif dims != {0: 1}:
+                problem = f"homology {dims}"
+            else:
                 continue
-            below_k[mask] = low
-            hom = strand(cx, mask).homology()
-            if hom != ({0: 1} if low else {}):
-                raise ResolutionConstructionFailure(
-                    f"strand {mu} of I_{k} over {weights}: homology {hom}"
-                )
+        elif weighted_degree(weights, lows) < k:
+            problem = f"generators present from degree {weighted_degree(weights, lows)}"
+        elif dims:
+            problem = f"homology {dims}"
+        else:
+            continue
+        ranges = " x ".join(
+            f"[{lo}, {'inf)' if hi is None else f'{hi}]'}" for lo, hi in zip(lows, highs)
+        )
+        raise ResolutionConstructionFailure(
+            f"cell {ranges} of I_{k} over {weights}: {problem}"
+        )

@@ -443,6 +443,7 @@ class TestArgvFuzz:
         monkeypatch.setattr(linalg, "ENUMERATION_LIMIT", 3000)
         monkeypatch.setattr(resolution, "THRESHOLD_CAP", 6)
         monkeypatch.setattr(resolution, "TABLE_CAP", 300)
+        monkeypatch.setattr(resolution, "CERTIFICATE_LIMIT", 10**5)
         monkeypatch.setattr(sheaves, "CHART_LIMIT", 6)
         monkeypatch.setattr(charts, "GROUP_ENUMERATION_CAP", 50)
 

@@ -4,6 +4,7 @@ import pytest
 
 from orbiflip import (
     IdealImage,
+    InconsistentDegrees,
     PreconditionKLevel,
     PushforwardNotClosedForm,
     Unsupported,
@@ -19,6 +20,7 @@ from orbiflip.linalg import characters_of_degree
 from orbiflip.functors import (
     FunctorSpec,
     pull_complex,
+    push_complex,
     pushforward_oracle_suite,
     serre_duality_suite,
 )
@@ -75,6 +77,20 @@ class TestApply:
         shifted = apply(flip, "G", mid.tensor(-1))
         assert shifted.terms == base.tensor(1).terms
         assert shifted.by_source == base.by_source
+
+    def test_pull_and_push_read_the_sequence_of_the_complex(self):
+        # The pipeline of G by hand: pull, twist by Ebar^-2, push by the
+        # closed-form rules of the complex's own sequence.  apply refuses a
+        # complex over another sequence rather than push it by that
+        # sequence's rules.
+        image = as_complex(FLOP, apply(FLOP, "F", 1))
+        pulled = pull_complex(image)
+        assert (pulled.seq, pulled.space) == (FLOP, "Y")
+        pushed, _ = push_complex(pulled.tensor((-2, -2)), "minus")
+        assert pushed.seq == FLOP
+        assert pushed.terms == apply(FLOP, "G", image).terms
+        with pytest.raises(InconsistentDegrees, match=r"over 1,2;1,1,1, functor acts over 1,1;1,1"):
+            apply(ATIYAH, "G", image)
 
 
 class TestRoundtrips:

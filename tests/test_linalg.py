@@ -105,35 +105,10 @@ class TestExactCore:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_chain_reduce_with_non_unit_coefficients(self, data):
-        # Each differential draws its rows from the left kernel of the one
-        # before, with weights 2, -3 and 1/2, so the pivots are not +-1 and
-        # entries go non-integral; the rank formula is the reference.
+        # The rank formula is the reference.
         from orbiflip.exact import chain_reduce_homology
 
-        coeffs = st.sampled_from([0, 0, 1, 2, -3, Fraction(1, 2)])
-        sizes = data.draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
-        mats = []
-        for p in range(len(sizes) - 1):
-            ncols, nrows = sizes[p], sizes[p + 1]
-            if p == 0:
-                rows = [[data.draw(coeffs) for _ in range(ncols)] for _ in range(nrows)]
-            else:
-                prev = mats[-1]
-                cokernel = kernel_basis([list(col) for col in zip(*prev)], ncols)
-                rows = []
-                for _ in range(nrows):
-                    weights = [data.draw(coeffs) for _ in cokernel]
-                    rows.append([sum(w * v[c] for w, v in zip(weights, cokernel))
-                                 for c in range(ncols)])
-            mats.append(rows)
-        cells = {(d, i): d for d, size in enumerate(sizes) for i in range(size)}
-        entries = {
-            ((d, c), (d + 1, r)): v
-            for d, rows in enumerate(mats)
-            for r, row in enumerate(rows)
-            for c, v in enumerate(row)
-            if v
-        }
+        sizes, mats, cells, entries = _non_unit_complex(data)
         ranks = [exact_rank(rows, sizes[d]) for d, rows in enumerate(mats)] + [0]
         want = {}
         for d, size in enumerate(sizes):
@@ -144,6 +119,77 @@ class TestExactCore:
         # The same complex with every entry a Fraction reduces alike.
         as_fractions = {key: Fraction(v) for key, v in entries.items()}
         assert chain_reduce_homology(cells, as_fractions) == want
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_filtered_homology_matches_every_prefix(self, data):
+        # Random entry steps in which every target enters no later than its
+        # sources; chain reduction of each prefix is the reference.
+        from orbiflip.exact import chain_reduce_homology, filtered_homology
+
+        sizes, mats, cells, entries = _non_unit_complex(data)
+        steps = data.draw(st.integers(1, 5))
+        rows = {cell: [] for cell in cells}
+        for (src, tgt), v in entries.items():
+            rows[src].append((tgt, v))
+        enter = {}
+        for cell in sorted(cells, reverse=True):
+            latest = max((enter[tgt] for tgt, _ in rows[cell]), default=0)
+            enter[cell] = data.draw(st.integers(latest, steps - 1))
+        order = sorted(cells, key=lambda cell: (enter[cell], -cells[cell]))
+        got = filtered_homology(order, cells, enter, rows, steps)
+        assert len(got) == steps
+        for j, dims in enumerate(got):
+            prefix = {cell: d for cell, d in cells.items() if enter[cell] <= j}
+            kept = {key: v for key, v in entries.items() if key[0] in prefix}
+            assert dims == chain_reduce_homology(prefix, kept), j
+
+    def test_filtered_homology_refuses_a_late_target(self):
+        from orbiflip import InconsistentDegrees
+        from orbiflip.exact import filtered_homology
+
+        degrees = {"s": 0, "t": 1}
+        rows = {"s": (("t", 2),), "t": ()}
+        assert filtered_homology(["t", "s"], degrees, {"s": 0, "t": 0}, rows, 2) == [{}, {}]
+        assert filtered_homology(["t", "s"], degrees, {"s": 1, "t": 0}, rows, 2) == [{1: 1}, {}]
+        with pytest.raises(InconsistentDegrees, match="enters before its target"):
+            filtered_homology(["s", "t"], degrees, {"s": 0, "t": 1}, rows, 2)
+        with pytest.raises(InconsistentDegrees, match="not a cell of the filtration"):
+            filtered_homology(["s"], degrees, {"s": 0}, rows, 1)
+        with pytest.raises(InconsistentDegrees, match="not in the order of their entry steps"):
+            filtered_homology(["s", "t"], degrees, {"s": 1, "t": 0}, rows, 2)
+
+
+def _non_unit_complex(data):
+    """A random complex over Q: each differential draws its rows from the
+    left kernel of the one before, with weights 2, -3 and 1/2, so the pivots
+    are not +-1 and entries go non-integral.  Returns (sizes, matrices,
+    cells, entries) in the form chain_reduce_homology takes."""
+    coeffs = st.sampled_from([0, 0, 1, 2, -3, Fraction(1, 2)])
+    sizes = data.draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
+    mats = []
+    for p in range(len(sizes) - 1):
+        ncols, nrows = sizes[p], sizes[p + 1]
+        if p == 0:
+            rows = [[data.draw(coeffs) for _ in range(ncols)] for _ in range(nrows)]
+        else:
+            prev = mats[-1]
+            cokernel = kernel_basis([list(col) for col in zip(*prev)], ncols)
+            rows = []
+            for _ in range(nrows):
+                weights = [data.draw(coeffs) for _ in cokernel]
+                rows.append([sum(w * v[c] for w, v in zip(weights, cokernel))
+                             for c in range(ncols)])
+        mats.append(rows)
+    cells = {(d, i): d for d, size in enumerate(sizes) for i in range(size)}
+    entries = {
+        ((d, c), (d + 1, r)): v
+        for d, rows in enumerate(mats)
+        for r, row in enumerate(rows)
+        for c, v in enumerate(row)
+        if v
+    }
+    return sizes, mats, cells, entries
 
 
 def _strand_source(s, k, kind):
@@ -522,8 +568,8 @@ def _presence_complexes(s, k):
         roundtrip.translate(shift, 1),
         roundtrip.dual_into(k),
     ]
-    pulled = pull_complex(s, out[1])
-    out += [pulled, pulled.tensor((-1, -1)), pull_complex(s, out[0]).dual_into((0, 1))]
+    pulled = pull_complex(out[1])
+    out += [pulled, pulled.tensor((-1, -1)), pull_complex(out[0]).dual_into((0, 1))]
     return out
 
 
@@ -618,14 +664,14 @@ def _derived_complexes(cx):
     one = Character((1,) * s.m, (0,) * s.n)
     pairs = [(cx, cx.tensor(2)), (cx, cx.shift(1)), (cx, cx.shift(-2)), (cx, cx.translate(one, 1))]
     if cx.space in ("minus", "plus"):
-        y = pull_complex(s, cx)
+        y = pull_complex(cx)
         pairs += [(cx, y), (y, y.tensor((1, -1))), (cx, serre_twist(s, cx.space, cx))]
         pairs.append((y, serre_twist(s, "Y", y)))
         for c in range(max(s.sum_a, s.sum_b)):
             twisted = y.tensor((-c, -c))
             for side in ("minus", "plus"):
                 try:
-                    pushed, _ = push_complex(s, twisted, side)
+                    pushed, _ = push_complex(twisted, side)
                 except (PushforwardNotClosedForm, Unsupported):
                     continue
                 if isinstance(pushed, MonomialComplex):
@@ -681,8 +727,8 @@ class TestDerivedComplexes:
 
         monkeypatch.setattr(linalg, "is_section", refuse)
         derived = [cx.tensor(1), cx.shift(1), cx.translate(Character((1, 0), (0, 0, 1)), 2)]
-        y = pull_complex(s, cx)
-        pushed, _ = push_complex(s, y.tensor((-1, -1)), "minus")
+        y = pull_complex(cx)
+        pushed, _ = push_complex(y.tensor((-1, -1)), "minus")
         assert isinstance(pushed, MonomialComplex)
         for out in derived + [y, pushed]:
             delta = min(out.terms) - min(cx.terms)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -20,14 +21,29 @@ from orbiflip import (
     verify_degree_bounds,
 )
 from orbiflip import resolution
-from orbiflip.errors import ResolutionConstructionFailure, Unsupported
+from orbiflip.errors import InconsistentDegrees, ResolutionConstructionFailure, Unsupported
 from orbiflip.exact import chain_reduce_homology
 from orbiflip.linalg import Character
-from orbiflip.resolution import monomials_of_weighted_degree, weighted_degree
+from orbiflip.resolution import weighted_degree
 
 
 def seq(text: str) -> WeightSequence:
     return WeightSequence.parse(text)
+
+
+def monomials_of_weighted_degree(weights, d: int) -> list[tuple[int, ...]]:
+    """Brute-force reference: every exponent vector of the given weighted
+    degree, in lex order."""
+    if d < 0:
+        return []
+    if not weights:
+        return [()] if d == 0 else []
+    head, tail = weights[0], tuple(weights[1:])
+    return [
+        (e,) + rest
+        for e in range(d // head + 1)
+        for rest in monomials_of_weighted_degree(tail, d - head * e)
+    ]
 
 
 def koszul_betti_degrees(weights, k):
@@ -297,33 +313,43 @@ class TestTableCap:
 
 
 class TestStrandWalkCap:
-    """An explicit build is refused by the monomials its exactness check
-    would walk, up to weighted degree k + sum(w) + 2, before any work."""
+    """An explicit build is refused by the price of its exactness
+    certificate, runs times symbols from the weights and k alone, before any
+    work."""
 
     @staticmethod
     def forbidden(*args):
-        raise AssertionError("construction started before the walk check")
+        raise AssertionError("construction started before the price check")
 
     def test_refused_before_construction(self, monkeypatch):
-        # Twelve variables of weight one at k = 1: C(27, 12) monomials up to
-        # degree 15 for a 4,095-symbol table.
+        # Sixteen variables of weight one at k = 1: two intervals on each
+        # coordinate, so 2^15 runs, of a 65,535-symbol table.
         monkeypatch.setattr(resolution, "module_resolution", self.forbidden)
         start = time.perf_counter()
-        with pytest.raises(Unsupported, match="walks 17383860 monomials"):
-            build_resolution(WeightSequence((1,) * 12, ()), 1, "module")
+        with pytest.raises(Unsupported, match="reduces up to 32768 runs of 65535 symbols"):
+            build_resolution(WeightSequence((1,) * 16, ()), 1, "module")
         assert time.perf_counter() - start < 1
 
-    def test_limit_is_the_walk_length(self, monkeypatch):
-        # (1, 1) at k = 1 walks the 1 + 2 + ... + 6 = 21 monomials of degree
-        # at most 5.
-        from orbiflip import linalg
-
-        monkeypatch.setattr(linalg, "ENUMERATION_LIMIT", 21)
-        assert build_resolution(WeightSequence((1, 1), ()), 1, "module").terms
-        monkeypatch.setattr(linalg, "ENUMERATION_LIMIT", 20)
+    def test_limit_is_the_certificate_price(self, monkeypatch):
+        # (1, 2) at k = 3: 3 + 1 intervals on x, 2 + 1 on y, so 3 runs along
+        # x, of the 3 + 2 symbols of the table: price 15.
+        monkeypatch.setattr(resolution, "CERTIFICATE_LIMIT", 15)
+        assert build_resolution(WeightSequence((1, 2), ()), 3, "module").terms
+        monkeypatch.setattr(resolution, "CERTIFICATE_LIMIT", 14)
         monkeypatch.setattr(resolution, "module_resolution", self.forbidden)
-        with pytest.raises(Unsupported, match="walks 21 monomials, above the enumeration limit 20"):
-            build_resolution(WeightSequence((1, 1), ()), 1, "module")
+        with pytest.raises(Unsupported, match="15 in all, above the certificate limit 14"):
+            build_resolution(WeightSequence((1, 2), ()), 3, "module")
+
+    @pytest.mark.parametrize(
+        "weights, k, price",
+        [((1,) * 5, 6, 6148961), ((1,) * 12, 1, 8386560), ((1, 2, 3, 4), 36, 9383530)],
+    )
+    def test_calibration_builds_are_accepted(self, weights, k, price):
+        # The builds README names as calibrated near the limit, priced
+        # without building.
+        symbols = resolution.check_table_size(weights, k)
+        assert resolution.check_certificate_price(weights, k, symbols) == price
+        assert price <= resolution.CERTIFICATE_LIMIT
 
 
 class TestHilbertSeriesCheck:
@@ -363,7 +389,7 @@ class TestEliahouKervaireComplex:
         positions, raw_diffs = resolution.module_resolution(weights, k)
         assert list(positions[0]) == threshold_generators(weights, k)
         resolution._verify_minimality(weights, k, positions, raw_diffs)
-        resolution._verify_strand_exactness(weights, k, positions, raw_diffs)
+        resolution._verify_exactness(weights, k, positions, raw_diffs)
         table = {
             l + 1: tuple(sorted(weighted_degree(weights, mu) for mu in gens))
             for l, gens in enumerate(positions)
@@ -382,22 +408,16 @@ class TestEliahouKervaireComplex:
         # generator e' of degree x^2: exact, but the entry e' is a unit.
         positions = (((1,), (2,)), ((2,),))
         raw_diffs = ({(0, 0): Fraction(1), (0, 1): Fraction(-1)},)
-        resolution._verify_strand_exactness((1,), 1, positions, raw_diffs)
+        resolution._verify_exactness((1,), 1, positions, raw_diffs)
         with pytest.raises(ResolutionConstructionFailure, match="unit entry"):
             resolution._verify_minimality((1,), 1, positions, raw_diffs)
 
 
 def per_monomial_strand_exactness(weights, k, positions, raw_diffs):
-    """Reference for resolution._verify_strand_exactness: the augmented
-    complex F -> R reduced on every monomial strand up to k + sum(w) + 2,
-    one strand per monomial."""
-    augmentation = {(j, 0): Fraction(1) for j in range(len(positions[0]))}
-    cx = resolution._assemble(
-        resolution._module_sequence(weights),
-        "module",
-        (((0,) * len(weights),),) + tuple(positions),
-        (augmentation,) + tuple(raw_diffs),
-    )
+    """Reference for resolution._verify_exactness: the augmented complex
+    F -> R reduced on every monomial strand up to k + sum(w) + 2, one strand
+    per monomial."""
+    cx = resolution._augmented(weights, positions, raw_diffs)
     mask = cx.presence_tables.mask
     for d in range(k + sum(weights) + 3):
         for mu in monomials_of_weighted_degree(tuple(weights), d):
@@ -409,16 +429,51 @@ def per_monomial_strand_exactness(weights, k, positions, raw_diffs):
 
 
 def certificate_outcome(check, weights, k, positions, raw_diffs):
-    """None if the check passes, else the failing strand of its message."""
+    """None if the check passes, else its message."""
     try:
         check(weights, k, positions, raw_diffs)
     except ResolutionConstructionFailure as exc:
-        return str(exc).split(":")[0]
+        return str(exc)
     return None
 
 
+def cell_corner(cx, cell):
+    """The least monomial of a cell of a module complex."""
+    return tuple(cuts[j - 1] if j else 0 for (cuts, _), j in zip(cx.presence_tables.coords, cell))
+
+
 class TestPerMaskCertificate:
-    """One strand per presence mask against one strand per monomial."""
+    """One filtered reduction per run of cells against one strand per cell,
+    and against one strand per monomial."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(st.integers(1, 4), min_size=1, max_size=3),
+        st.integers(0, 7),
+        st.booleans(),
+    )
+    @example([1, 1, 1, 1], 4, True)
+    @example([1, 1, 1, 1], 4, False)
+    def test_run_dims_match_the_strand_of_every_cell(self, weights, k, augmented):
+        # Unaugmented, the strands of I_k's cells have homology in degree 0.
+        weights = tuple(weights)
+        positions, raw_diffs = resolution.module_resolution(weights, k)
+        if augmented:
+            cx = resolution._augmented(weights, positions, raw_diffs)
+        else:
+            cx = resolution._assemble(
+                resolution._module_sequence(weights), "module", positions, raw_diffs
+            )
+        tables = cx.presence_tables
+        cells = set()
+        for cell, mask, dims in resolution._cell_homology(cx):
+            corner = Character(cell_corner(cx, cell), ())
+            assert (tables.cell(corner), tables.mask(corner)) == (cell, mask)
+            assert dims == strand(cx, mask).homology(), (cell, mask)
+            cells.add(cell)
+        # Every cell that holds a monomial, each once.
+        runs = [range(bisect_right(cuts, 0), len(cuts) + 1) for cuts, _ in tables.coords]
+        assert cells == set(itertools.product(*runs))
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -430,9 +485,9 @@ class TestPerMaskCertificate:
     @example([1, 1, 1], 4, "kill", None)
     @example([1, 2], 3, "drop", None)
     def test_agrees_with_per_monomial_reference(self, weights, k, fault, data):
-        # The same first failing strand, or none, on the true resolution and
-        # on one whose top position lost an element ("drop") or the
-        # differential out of one ("kill"); both faults keep d o d = 0.
+        # The same verdict on the true resolution and on one whose top
+        # position lost an element ("drop") or the differential out of one
+        # ("kill"); both faults keep d o d = 0.
         weights = tuple(weights)
         positions, raw_diffs = resolution.module_resolution(weights, k)
         top = len(positions) - 1
@@ -448,37 +503,97 @@ class TestPerMaskCertificate:
                 raw_diffs = raw_diffs[:-1] + (table,)
         fast, slow = (
             certificate_outcome(check, weights, k, positions, raw_diffs)
-            for check in (resolution._verify_strand_exactness, per_monomial_strand_exactness)
+            for check in (resolution._verify_exactness, per_monomial_strand_exactness)
         )
-        assert fast == slow
+        assert (fast is None) == (slow is None)
         assert (fast is None) == (fault == "none" or (fault == "kill" and not top))
 
-    def test_reduces_one_strand_per_mask(self, monkeypatch):
-        # (1, 1, 1, 1) at k = 4: 1001 monomials up to degree 10, 469 masks.
+    def test_reduces_once_per_run(self, monkeypatch):
+        # (1, 1, 1, 1) at k = 4: five intervals on each coordinate, so 5^3
+        # runs of five cells, 625 cells in all; no strand is reduced on its own.
         calls = []
-        real = resolution.strand
+        real = resolution.filtered_homology
 
-        def counting(cx, mask):
-            calls.append(mask)
-            return real(cx, mask)
+        def counting(cells, *args):
+            calls.append(frozenset(cells))
+            return real(cells, *args)
 
-        monkeypatch.setattr(resolution, "strand", counting)
+        def forbidden(*args):
+            raise AssertionError("a strand was reduced on its own")
+
+        monkeypatch.setattr(resolution, "filtered_homology", counting)
+        monkeypatch.setattr(resolution, "strand", forbidden)
+        monkeypatch.setattr(resolution, "chain_reduce_homology", forbidden)
         positions, raw_diffs = resolution.module_resolution((1, 1, 1, 1), 4)
-        resolution._verify_strand_exactness((1, 1, 1, 1), 4, positions, raw_diffs)
-        assert len(calls) == 469
+        cx = resolution._augmented((1, 1, 1, 1), positions, raw_diffs)
+        cells = list(resolution._cell_homology(cx))
+        assert len(cells) == 625 and len({cell for cell, _, _ in cells}) == 625
+        # One reduction per distinct run, and runs with the same terms share it.
+        assert len(calls) == len(set(calls)) == 5**3
+        resolution._verify_exactness((1, 1, 1, 1), 4, positions, raw_diffs)
 
     def test_mask_on_both_sides_of_threshold_fails(self):
         # I_2 over two variables missing the generator y^2, with the one
-        # syzygy of x^2 and xy: exact where it has terms, but y^2 lies in
-        # no generator's cell, as 1 does below k.
+        # syzygy of x^2 and xy: exact where it has terms, but the cell x = 0,
+        # y >= 1 holds only the augmentation and is unbounded, so y^2 lies in
+        # no generator's cell, as 1 does below k.  A certificate that stops
+        # before each coordinate's last, unbounded interval passes it.
         positions = (((1, 1), (2, 0)), ((2, 1),))
         raw_diffs = ({(0, 0): Fraction(1), (0, 1): Fraction(-1)},)
         with pytest.raises(
-            ResolutionConstructionFailure, match=r"strand \(0, 2\) .* other side of the threshold"
+            ResolutionConstructionFailure,
+            match=r"cell \[0, 0\] x \[1, inf\) of I_2 over \(1, 1\): the augmentation alone on an unbounded cell",
         ):
-            resolution._verify_strand_exactness((1, 1), 2, positions, raw_diffs)
+            resolution._verify_exactness((1, 1), 2, positions, raw_diffs)
         with pytest.raises(ResolutionConstructionFailure, match=r"strand \(0, 2\) .* homology"):
             per_monomial_strand_exactness((1, 1), 2, positions, raw_diffs)
+
+    @pytest.mark.parametrize(
+        "positions, k, problem",
+        [
+            # I_2 over one variable generated by x: a generator below k.
+            pytest.param(
+                (((1,),),),
+                2,
+                r"cell \[1, inf\) of I_2 over \(1,\): generators present from degree 1",
+                id="generator-below-k",
+            ),
+            # I_1 generated by x^2: x lies in no generator's cell.
+            pytest.param(
+                (((2,),),),
+                1,
+                r"cell \[0, 1\] of I_1 over \(1,\): the augmentation alone up to degree 1",
+                id="generator-missing",
+            ),
+        ],
+    )
+    def test_wrong_generators_fail(self, positions, k, problem):
+        with pytest.raises(ResolutionConstructionFailure, match=problem):
+            resolution._verify_exactness((1,), k, positions, ())
+
+    def test_g_one_power_too_many_fails(self, monkeypatch):
+        # g(v) one power too high is never a generator, so every correction
+        # term drops: the Koszul complexes of the generators' supports, with
+        # the multigraded Hilbert function of I_k.  Their first syzygies are
+        # no relations among the generators, so d o d fails at the
+        # augmentation before any cell is reduced.
+        real = resolution._beginning
+
+        def high(weights, order, v, k):
+            g = list(real(weights, order, v, k))
+            last = [i for i in order if g[i]][-1]
+            g[last] += 1
+            return tuple(g)
+
+        monkeypatch.setattr(resolution, "_beginning", high)
+        resolution.module_resolution.cache_clear()
+        try:
+            for weights, k in [((1, 1), 2), ((1, 2, 3), 4), ((1, 1, 1), 3), ((2, 3), 7)]:
+                positions, raw_diffs = resolution.module_resolution(weights, k)
+                with pytest.raises(InconsistentDegrees, match="d o d != 0"):
+                    resolution._verify_exactness(weights, k, positions, raw_diffs)
+        finally:
+            resolution.module_resolution.cache_clear()
 
 
 class TestDegreeBounds:
