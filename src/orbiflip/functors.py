@@ -162,8 +162,10 @@ def push_complex(ycx: MonomialComplex, side: str) -> tuple[SheafObject, list[int
     lines: dict[tuple[int, int], int] = {}
     for d, ts in sorted(ycx.terms.items()):
         for t in ts:
-            res = pushforward_rule(ycx.seq, side, t.twist)
             powers.append(-t.twist[1] if side == SPACE_MINUS else -t.twist[0])
+            if t.twist in lines:
+                continue
+            res = pushforward_rule(ycx.seq, side, t.twist)
             if res.kind == "line":
                 lines[t.twist] = res.twist
             elif res.kind == "ideal":
@@ -244,6 +246,12 @@ def _require_roundtrip_preconditions(seq: WeightSequence):
         )
 
 
+def _integer_k(k) -> int:
+    if isinstance(k, bool) or not isinstance(k, int):
+        raise Unsupported(f"round trips need an integer k, not {k!r}")
+    return k
+
+
 def _roundtrip_caps(seq: WeightSequence, k: int):
     scale = k + seq.sum_a + seq.sum_b
     alpha = tuple(scale // w + 1 for w in seq.a)
@@ -260,7 +268,7 @@ def _plan_roundtrip(seq: WeightSequence, k: int, pair: str):
     and its Ebar powers need the resolved middle complex and run with the
     round trip."""
     _require_roundtrip_preconditions(seq)
-    if k < 0:
+    if _integer_k(k) < 0:
         raise Unsupported("round trips are stated for k >= 0")
     if pair not in _PAIRS:
         raise Unsupported(f"unknown round-trip pair {pair!r}")
@@ -272,7 +280,7 @@ def _plan_roundtrip(seq: WeightSequence, k: int, pair: str):
     return image, low, caps
 
 
-def roundtrip_check(seq: WeightSequence, k: int, pair: str) -> VerificationReport:
+def roundtrip_check(seq: WeightSequence, k: int, pair: str, *, plan=None) -> VerificationReport:
     """Check that a composite round trip fixes O(k) on the minus side.
 
     pair is one of GF, HF, G'F', H'F'.  The composite complex is compared
@@ -289,9 +297,13 @@ def roundtrip_check(seq: WeightSequence, k: int, pair: str) -> VerificationRepor
     are checked all at once: when every term offset of the composite is
     >= 0, every strand there is empty, as O(k)'s is, so a negative offset is
     reported as a mismatch and fails the verdict.
+    equivalence_suite alone passes plan: the job's resolved first image and
+    sweep box (mid, low, caps), so that it plans each job once.
     """
-    image, low, caps = _plan_roundtrip(seq, k, pair)
-    mid = as_complex(seq, image)
+    if plan is None:
+        image, low, caps = _plan_roundtrip(seq, k, pair)
+        plan = as_complex(seq, image), low, caps
+    mid, low, caps = plan
     out, powers = _apply_with_powers(seq, _PAIRS[pair][1], mid)
     if isinstance(out, IdealImage):
         out = as_complex(seq, out)
@@ -440,40 +452,34 @@ def equivalence_suite(seq: WeightSequence, k_range) -> VerificationReport:
     GF and HF run for every k >= 0 in the range; the primed pairs run for
     k >= sum(b) - sum(a), where their pushforwards stay in closed form (for a
     flop that is the whole range).  For flops the mirrored round trips on the
-    plus side run through the swapped sequence.  A range with no k >= 0 would
-    check nothing and raises Unsupported.  Every job is planned
-    (_plan_roundtrip) before the first round trip runs, so a threshold above
-    the resolution cap or a box above the enumeration limit anywhere in the
-    range is refused, with the first such job's error, before any sweep.
+    plus side run through the swapped sequence.  A k that is not an int, a
+    bool, or a range with no k >= 0, which would check nothing, raises
+    Unsupported.  Every job is planned (_plan_roundtrip) once, before the
+    first round trip runs, so a threshold above the resolution cap or a box
+    above the enumeration limit anywhere in the range is refused, with the
+    first such job's error, before any sweep.  Jobs of one (seq, k) and first
+    functor share its resolved image.
     """
     _require_roundtrip_preconditions(seq)
-    ks = sorted(set(int(k) for k in k_range))
+    ks = sorted(set(map(_integer_k, k_range)))
     if not ks:
         raise Unsupported("empty k-range")
     gap = seq.sum_b - seq.sum_a
-    jobs = []
-    for k in ks:
-        if k < 0:
-            continue
-        jobs.append((seq, k, "GF"))
-        jobs.append((seq, k, "HF"))
-        if k >= gap:
-            jobs.append((seq, k, "G'F'"))
-            jobs.append((seq, k, "H'F'"))
-    if not jobs:
-        raise Unsupported(
-            f"no k >= 0 in the k-range {ks}; round trips are stated for k >= 0"
-        )
+    nonnegative = [k for k in ks if k >= 0]
+    if not nonnegative:
+        raise Unsupported(f"no k >= 0 in the k-range {ks}; round trips are stated for k >= 0")
+    jobs = [(seq, k, pair) for k in nonnegative for pair in _PAIRS if k >= gap or "'" not in pair]
     if seq.klevel() == 0:
         swapped = seq.swap()
-        for k in ks:
-            if k < 0:
-                continue
-            jobs.append((swapped, k, "GF"))
-            jobs.append((swapped, k, "HF"))
-    for job in jobs:
-        _plan_roundtrip(*job)
-    children = [roundtrip_check(s, k, pair) for s, k, pair in jobs]
+        jobs += [(swapped, k, pair) for k in nonnegative for pair in ("GF", "HF")]
+    plans = [_plan_roundtrip(*job) for job in jobs]
+    mids: dict = {}
+    children = []
+    for (s, k, pair), (image, low, caps) in zip(jobs, plans):
+        key = (s, k, _PAIRS[pair][0])
+        if key not in mids:
+            mids[key] = as_complex(s, image)
+        children.append(roundtrip_check(s, k, pair, plan=(mids[key], low, caps)))
     verdict = all(c.verdict for c in children)
     return VerificationReport(
         title="equivalence suite",

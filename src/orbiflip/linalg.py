@@ -29,7 +29,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
+from math import prod
+from operator import ge, mul
 from typing import Callable, Iterator, NamedTuple
 
 from .errors import BoxTooLarge, InconsistentDegrees, Unsupported
@@ -103,8 +104,8 @@ def degree(seq: WeightSequence, space: str, char: Character):
     is the pair (sum a*alpha, sum b*beta); module means the x-side polynomial
     ring, graded by the a-weights.
     """
-    da = sum(w * e for w, e in zip(seq.a, char.alpha))
-    db = sum(w * e for w, e in zip(seq.b, char.beta))
+    da = sum(map(mul, seq.a, char.alpha))
+    db = sum(map(mul, seq.b, char.beta))
     if space == SPACE_MINUS:
         return da - db
     if space == SPACE_PLUS:
@@ -242,6 +243,16 @@ def _twist_delta(space: str, src, tgt):
     return tgt - src
 
 
+def entry_is_section(seq: WeightSequence, space: str, src: Term, tgt: Term) -> bool:
+    """is_section of the entry src -> tgt for terms of one reference degree,
+    which proves the degree: nonnegative exponents, and da >= k1 on Y."""
+    s, t = src.offset, tgt.offset
+    return all(map(ge, s.alpha + s.beta, t.alpha + t.beta)) and (
+        space != SPACE_Y or sum(map(mul, seq.a, s.alpha)) - sum(map(mul, seq.a, t.alpha))
+        >= tgt.twist[0] - src.twist[0]
+    )
+
+
 class MonomialComplex:
     """A bounded complex of twists with matrices of monomial entries.
 
@@ -267,22 +278,22 @@ class MonomialComplex:
         """Check twist types, offset shapes and the common reference degree."""
         if space not in SPACES:
             raise Unsupported(f"unknown space {space!r}")
+        on_y, m, n = space == SPACE_Y, len(seq.a), len(seq.b)
         ref = None
-        for d, ts in terms.items():
-            for term in ts:
-                if space == SPACE_Y:
-                    if not (isinstance(term.twist, tuple) and len(term.twist) == 2):
+        for ts in terms.values():
+            for twist, g in ts:
+                if on_y:
+                    if not (isinstance(twist, tuple) and len(twist) == 2):
                         raise InconsistentDegrees("Y terms need (k1, k2) twists")
-                elif not isinstance(term.twist, int):
+                elif not isinstance(twist, int):
                     raise InconsistentDegrees(f"{space} terms need integer twists")
-                g = term.offset
-                if len(g.alpha) != seq.m or len(g.beta) != seq.n:
+                if len(g.alpha) != m or len(g.beta) != n:
                     raise InconsistentDegrees("offset character has wrong shape")
-                if space == SPACE_Y:
+                if on_y:
                     da, db = degree(seq, SPACE_Y, g)
-                    r = (term.twist[0] - term.twist[1]) + (da - db)
+                    r = (twist[0] - twist[1]) + (da - db)
                 else:
-                    r = term.twist + degree(seq, space, g)
+                    r = twist + degree(seq, space, g)
                 if ref is None:
                     ref = r
                 elif r != ref:
@@ -293,7 +304,7 @@ class MonomialComplex:
         self.reference_degree = ref
 
     def _index(self, diffs) -> dict[int, dict[int, tuple[tuple[int, int | Fraction], ...]]]:
-        """by_source of diffs, each entry and d o d = 0 checked."""
+        """by_source of diffs, each entry (entry_is_section) and d o d = 0 checked."""
         seq, space = self.seq, self.space
         rows: dict[int, dict[int, list[tuple[int, int | Fraction]]]] = {}
         for d, tab in diffs.items():
@@ -309,12 +320,10 @@ class MonomialComplex:
                 if coeff == 0:
                     raise InconsistentDegrees("zero coefficient stored")
                 src, tgt = srcs[i], tgts[j]
-                gamma = src.offset - tgt.offset
-                delta = _twist_delta(space, src.twist, tgt.twist)
-                if not is_section(seq, space, delta, gamma):
-                    raise InconsistentDegrees(
-                        f"entry {gamma.render()} is not a section of O({delta})"
-                    )
+                if not entry_is_section(seq, space, src, tgt):
+                    gamma = (src.offset - tgt.offset).render()
+                    delta = _twist_delta(space, src.twist, tgt.twist)
+                    raise InconsistentDegrees(f"entry {gamma} is not a section of O({delta})")
                 rows.setdefault(d, {}).setdefault(i, []).append((j, coeff))
         index = {d: {i: tuple(row) for i, row in by_i.items()} for d, by_i in rows.items()}
 
@@ -332,18 +341,22 @@ class MonomialComplex:
                         raise InconsistentDegrees(f"d o d != 0 at {d}, entry {(i, k)}")
         return index
 
-    def map_terms(self, space: str, term_of, degree_delta: int = 0) -> "MonomialComplex":
-        """The complex on space with term_of(t) in degree d + degree_delta for
-        each term t in degree d, sharing this complex's checked differential.
+    def map_terms(self, space: str, term_of, degree_delta=0, *, seq=None, drop_top=False):
+        """The complex on space over seq (default: this one's) with term_of(t)
+        in degree d + degree_delta for each term t in degree d, sharing this
+        complex's checked differential; drop_top leaves out the top degree.
 
         Only the terms are checked, so term_of must keep each entry a section
         beyond what the common reference degree re-proves (offset differences,
-        and on Y the bound da >= k1).  tensor, translate, pullback and the
-        closed-form push do; coefficients never change."""
+        and on Y the bound da >= k1).  tensor, translate, pullback, the
+        closed-form push and build_resolution do; coefficients never change."""
         cx = MonomialComplex.__new__(MonomialComplex)
-        terms = {d + degree_delta: tuple(map(term_of, ts)) for d, ts in self.terms.items()}
-        cx._check_terms(self.seq, space, terms)
-        cx.by_source = {d + degree_delta: by_i for d, by_i in self.by_source.items()}
+        top = max(self.terms) if drop_top else None
+        terms = {
+            d + degree_delta: tuple(map(term_of, t)) for d, t in self.terms.items() if d != top
+        }
+        cx._check_terms(self.seq if seq is None else seq, space, terms)
+        cx.by_source = {d + degree_delta: i for d, i in self.by_source.items() if d + 1 != top}
         return cx
 
     def row(self, d: int, i: int) -> tuple[tuple[int, int | Fraction], ...]:
@@ -485,8 +498,10 @@ class StrandComplex:
         """Nonzero homology dimensions by cohomological degree.
 
         Each basis element is a cell and each entry an edge of the complex
-        handed to chain reduction.
+        handed to chain reduction; without entries the dims are the homology.
         """
+        if not self.entries:
+            return {d: len(base) for d, base in zip(self.degrees, self.bases) if base}
         cells = {
             (d, i): d for d, base in zip(self.degrees, self.bases) for i in range(len(base))
         }
@@ -623,12 +638,12 @@ def cell_boxes(cx: MonomialComplex, value, *, low, high) -> list[tuple[tuple[int
     reach = [tuple(map(sum, zip((0, 0), *spans[c:]))) for c in range(len(spans) + 1)]
     boxes = [((), 0, 0)]
     for w, coordinate_runs, (rest_lo, rest_hi) in zip(weights, runs, reach[1:]):
+        ends = [(run, *sorted((w * run[0], w * run[1]))) for run in coordinate_runs]
         boxes = [
-            (box + (run,), least + min(ends), most + max(ends))
+            (box + (run,), least + lo, most + hi)
             for box, least, most in boxes
-            for run in coordinate_runs
-            for ends in [(w * run[0], w * run[1])]
-            if least + min(ends) + rest_lo <= value <= most + max(ends) + rest_hi
+            for run, lo, hi in ends
+            if least + lo + rest_lo <= value <= most + hi + rest_hi
         ]
     return [box for box, _, _ in boxes]
 
@@ -639,9 +654,13 @@ def count_presence(cx: MonomialComplex, value, *, low, high) -> dict[int, int]:
     sides are refused), box by box of cell_boxes, without visiting each.
 
     Returns {mask: count}: a box's mask is the AND of its runs' masks (0 off
-    the reference degree), and a DP over the partial weighted sums of its
-    free coordinates counts its characters, the solved one of
-    _enumeration_plan in closed form.
+    the reference degree).  Its count is one exact big-int product (Kronecker
+    substitution, Schoenhage 1982) of the free coordinates' runs, each a
+    geometric series in t^|w| offset to start at t^0 and packed in slots of
+    one bit more than the bit length of the box's free-point count, which no
+    coefficient exceeds, so no slot carries.  Slot s then counts the free
+    points of weighted sum s plus the least one, and the solved coordinate of
+    _enumeration_plan reads, by shift and mask, the slot each value leaves.
     """
     if cx.space != SPACE_MINUS:
         raise Unsupported("presence cells are counted on the minus side only")
@@ -650,19 +669,17 @@ def count_presence(cx: MonomialComplex, value, *, low, high) -> dict[int, int]:
     present = value == cx.reference_degree
     cells: dict[int, int] = {}
     for box in cell_boxes(cx, value, low=low, high=high):
-        sums = {0: 1}
-        for c in free:
-            w, (first, last, _) = weights[c], box[c]
-            grown: dict[int, int] = {}
-            for partial, count in sums.items():
-                for total in range(partial + w * first, partial + w * (last + 1), w):
-                    grown[total] = grown.get(total, 0) + count
-            sums = grown
+        runs = [(weights[c], box[c][0], box[c][1]) for c in free]
+        width = prod(last - first + 1 for _, first, last in runs).bit_length() + 1
+        packed, base = 1, value  # base: the slot of the solved coordinate at 0
+        for w, first, last in runs:
+            step = abs(w) * width
+            packed *= ((1 << step * (last - first + 1)) - 1) // ((1 << step) - 1)
+            base -= min(w * first, w * last)
         first, last, _ = box[solve_at]
-        count = sum(
-            n for partial, n in sums.items()
-            if not (value - partial) % w_solve and first <= (value - partial) // w_solve <= last
-        )
+        slots = range(base - w_solve * first, base - w_solve * (last + 1), -w_solve)
+        ones = (1 << width) - 1
+        count = sum(packed >> width * s & ones for s in slots if s >= 0)
         if not count:
             continue
         mask = -1 if present else 0

@@ -26,7 +26,9 @@ Two certificates check what the construction returns:
    I_k: the augmented complex F -> R is checked on every cell of its term
    offsets, the finitely many boxes on which a strand is constant, with one
    filtered reduction per run of cells along one coordinate
-   (exact.filtered_homology).
+   (exact.filtered_homology).  The augmented complex is the one checked
+   construction per (w, k), cached without its augmentation term or cell
+   tables; every build derives its complex from it, sharing the differential.
 
 Both count the table before building it and refuse one of more than
 TABLE_CAP symbols.  build_resolution also prices its certificate from the
@@ -51,13 +53,7 @@ from .errors import ResolutionConstructionFailure, Unsupported
 # names for the homology engine and for strand, so both bindings stay.
 from .exact import chain_reduce_homology, filtered_homology  # noqa: F401
 from .linalg import (  # noqa: F401
-    SPACE_MINUS,
-    SPACE_MODULE,
-    SPACE_PLUS,
-    Character,
-    MonomialComplex,
-    Term,
-    strand,
+    SPACE_MINUS, SPACE_MODULE, SPACE_PLUS, Character, MonomialComplex, Term, strand,
 )
 from .weights import WeightSequence
 
@@ -405,10 +401,6 @@ def module_resolution(weights: tuple[int, ...], k: int):
     return tuple(positions), tuple(diffs)
 
 
-def _module_sequence(weights) -> WeightSequence:
-    return WeightSequence(tuple(weights), ())
-
-
 def build_resolution(
     seq: WeightSequence,
     k: int,
@@ -427,14 +419,22 @@ def build_resolution(
     _verify_exactness); failures raise ResolutionConstructionFailure.  Before
     any work, a table of more than TABLE_CAP symbols or a certificate priced
     above CERTIFICATE_LIMIT is refused with Unsupported.
+
+    The certified module complex is cached per (weights, k), and each call
+    derives a fresh complex from it with map_terms, which shares its checked
+    differential and checks only the terms: a generator mu, offset mu in the
+    y-variables on minus and the x-variables on plus, gets twist w.mu +
+    extra_twist; the module complex keeps the twists -w.mu.
     """
     if side == SPACE_PLUS:
         weights = seq.a
+        term_of = lambda t: Term(extra_twist - t.twist, Character(t.offset.alpha, (0,) * seq.n))
     elif side == SPACE_MINUS:
         weights = seq.b
+        term_of = lambda t: Term(extra_twist - t.twist, Character((0,) * seq.m, t.offset.alpha))
     elif side == SPACE_MODULE:
         weights = seq.a if seq.m else seq.b
-        seq = _module_sequence(weights)
+        seq, term_of = WeightSequence(tuple(weights), ()), lambda t: t
     else:
         raise Unsupported(f"no threshold ideals on {side!r}")
     if not weights:
@@ -443,46 +443,19 @@ def build_resolution(
     k = max(k, 0)
     check_threshold(k)
     check_certificate_price(weights, k, check_table_size(weights, k))
-    positions, raw_diffs = _certified_module_resolution(weights, k)
-    return _assemble(seq, side, positions, raw_diffs, extra_twist)
-
-
-def _assemble(seq, space, positions, raw_diffs, extra_twist=0) -> MonomialComplex:
-    """The complex of twists of module resolution data on a space.
-
-    Position l sits in cohomological degree 1 - l.  A generator mu becomes
-    the term with offset mu in the y-variables on the minus side, in the
-    x-variables otherwise, and twist w.mu + extra_twist on a side; on module,
-    where twists only index generators, the twist is -w.mu.  The raw
-    coefficient tables are the differentials: F_l (degree 1 - l) maps to
-    F_{l-1} (degree 2 - l).
-    """
-    if space == SPACE_MINUS:
-        weights = seq.b
-        embed = lambda mu: Character((0,) * seq.m, tuple(mu))
-    else:
-        weights = seq.a
-        embed = lambda mu: Character(tuple(mu), (0,) * seq.n)
-    if space == SPACE_MODULE:
-        twist_of = lambda mu: -weighted_degree(weights, mu)
-    else:
-        twist_of = lambda mu: weighted_degree(weights, mu) + extra_twist
-    terms = {
-        1 - (l + 1): [Term(twist_of(mu), embed(mu)) for mu in gens]
-        for l, gens in enumerate(positions)
-    }
-    diffs = {1 - l: table for l, table in enumerate(raw_diffs, start=2)}
-    return MonomialComplex(seq, space, terms, diffs)
+    return _certified_module_resolution(weights, k).map_terms(side, term_of, seq=seq)
 
 
 @lru_cache(maxsize=None)
-def _certified_module_resolution(weights: tuple[int, ...], k: int):
-    """module_resolution plus its two checks: minimality, and exactness on
-    every cell of the augmented complex."""
+def _certified_module_resolution(weights: tuple[int, ...], k: int) -> MonomialComplex:
+    """The module complex of module_resolution after its two checks,
+    minimality and exactness on every cell of the augmented complex, the one
+    checked construction.  Its top degree, the augmentation term, is dropped
+    here, so the cache holds neither that term nor the cell tables."""
     positions, raw_diffs = module_resolution(weights, k)
     _verify_minimality(weights, k, positions, raw_diffs)
-    _verify_exactness(weights, k, positions, raw_diffs)
-    return positions, raw_diffs
+    augmented = _verify_exactness(weights, k, positions, raw_diffs)
+    return augmented.map_terms(SPACE_MODULE, lambda t: t, 1, drop_top=True)
 
 
 def _verify_minimality(weights, k, positions, raw_diffs):
@@ -497,15 +470,17 @@ def _verify_minimality(weights, k, positions, raw_diffs):
 
 
 def _augmented(weights, positions, raw_diffs) -> MonomialComplex:
-    """The module complex F -> R of resolution data: the augmentation term R,
-    offset 0 in degree 0, receives each generator with coefficient 1."""
+    """The module complex F -> R of resolution data: R, offset 0 in degree
+    0, receives each generator with coefficient 1; position l sits in degree
+    -l, a generator mu is the term of offset mu and twist -w.mu (on module,
+    twists only index generators), and raw_diffs[l - 2] maps F_l to F_(l-1)."""
+    terms = {
+        -l: [Term(-weighted_degree(weights, mu), Character(tuple(mu), ())) for mu in gens]
+        for l, gens in enumerate((((0,) * len(weights),),) + tuple(positions))
+    }
     augmentation = {(j, 0): 1 for j in range(len(positions[0]))}
-    return _assemble(
-        _module_sequence(weights),
-        SPACE_MODULE,
-        (((0,) * len(weights),),) + tuple(positions),
-        (augmentation,) + tuple(raw_diffs),
-    )
+    diffs = {-l: table for l, table in enumerate((augmentation,) + tuple(raw_diffs), start=1)}
+    return MonomialComplex(WeightSequence(tuple(weights), ()), SPACE_MODULE, terms, diffs)
 
 
 def _cell_homology(cx: MonomialComplex):
@@ -580,6 +555,7 @@ def _verify_exactness(weights, k, positions, raw_diffs):
     must be R's; every other cell holds only multiples of a generator, so
     its lower corner must lie at or above k and it must be exact.  Together
     these say that the generators span I_k and that F resolves it.
+    Returns the checked augmented complex.
     """
     cx = _augmented(weights, positions, raw_diffs)
     coords = cx.presence_tables.coords
@@ -608,3 +584,4 @@ def _verify_exactness(weights, k, positions, raw_diffs):
         raise ResolutionConstructionFailure(
             f"cell {ranges} of I_{k} over {weights}: {problem}"
         )
+    return cx

@@ -349,6 +349,55 @@ class TestEquivalenceSuite:
             roundtrip_check(*last)
         assert str(met.value) == str(refused.value)
 
+    def test_plans_each_job_once_and_resolves_each_first_image_once(self, monkeypatch):
+        # On the Atiyah flop at k = 2: GF, HF, G'F', H'F' and the swapped GF
+        # and HF, whose sequence is the same, so F and F' have two first
+        # images between them; each second functor's image is resolved on
+        # its own.
+        from collections import Counter
+
+        import orbiflip.functors as functors
+
+        planned, resolved = [], []
+        real_plan, real_as_complex = functors._plan_roundtrip, functors.as_complex
+
+        def plan(*job):
+            planned.append(job)
+            return real_plan(*job)
+
+        def as_complex(s, obj):
+            resolved.append(obj)
+            return real_as_complex(s, obj)
+
+        monkeypatch.setattr(functors, "_plan_roundtrip", plan)
+        monkeypatch.setattr(functors, "as_complex", as_complex)
+        report = equivalence_suite(ATIYAH, [2])
+        assert report.verdict
+        jobs = [(ATIYAH, 2, c.inputs["pair"]) for c in report.children]
+        assert planned == jobs and len(jobs) == 6
+        firsts = {apply(ATIYAH, first, 2) for first in ("F", "Fprime")}
+        assert all(isinstance(image, IdealImage) for image in firsts)
+        assert Counter(obj for obj in resolved if obj in firsts) == dict.fromkeys(firsts, 1)
+
+    def test_non_integer_k_refused_before_planning(self, monkeypatch):
+        # A float or a bool is not truncated or read as 1; the single round
+        # trip refuses it the same way.
+        from fractions import Fraction
+
+        import orbiflip.functors as functors
+
+        planned = []
+        monkeypatch.setattr(functors, "_plan_roundtrip", lambda *job: planned.append(job))
+        for bad in (1.5, True, Fraction(2), "2"):
+            for ks in ([bad], [0, bad]):
+                with pytest.raises(Unsupported, match="integer k"):
+                    equivalence_suite(ATIYAH, ks)
+        assert planned == []
+        monkeypatch.undo()
+        for bad in (1.5, True):
+            with pytest.raises(Unsupported, match="integer k"):
+                roundtrip_check(ATIYAH, bad, "GF")
+
     def test_range_without_nonnegative_k_raises(self):
         # Zero round trips would pass vacuously.
         with pytest.raises(Unsupported):

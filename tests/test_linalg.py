@@ -385,6 +385,80 @@ class TestComplexValidation:
         with pytest.raises(InconsistentDegrees, match="not a section"):
             MonomialComplex(s, "module", terms, diffs)
 
+    @pytest.mark.parametrize(
+        "space, src, tgt",
+        [
+            # On Y, x1 y1 into O(2, 2) from O(0, 0): degree difference 0 as
+            # it must be, exponents >= 0, but da = 1 < k1 = 2.
+            ("Y", Term((0, 0), Character((1, 0), (1, 0))), Term((2, 2), zero_character(seq("1,1;1,1")))),
+            # On minus, x1^-1: the degree is right, an exponent is negative.
+            ("minus", Term(0, zero_character(seq("1,1;1,1"))), Term(-1, Character((1, 0), (0, 0)))),
+        ],
+        ids=["Y-below-the-divisor-bound", "minus-negative-exponent"],
+    )
+    def test_rejects_an_entry_whose_only_fault_the_degree_does_not_show(self, space, src, tgt):
+        from orbiflip import InconsistentDegrees
+
+        s = seq("1,1;1,1")
+        MonomialComplex(s, space, {0: [src], 1: [tgt]}, {})  # one reference degree
+        with pytest.raises(InconsistentDegrees, match="not a section"):
+            MonomialComplex(s, space, {0: [src], 1: [tgt]}, {0: {(0, 0): 1}})
+
+
+def _twist_difference(space, src, tgt):
+    if space == "Y":
+        return (tgt.twist[0] - src.twist[0], tgt.twist[1] - src.twist[1])
+    return tgt.twist - src.twist
+
+
+class TestEntryCheck:
+    """MonomialComplex checks an entry with entry_is_section, which leaves out
+    the degree that the shared reference degree proves; is_section of the
+    entry monomial in the twist difference is the reference."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(["1,1;1,1", "1,2;1,1,1", "1,1;2,1", "1,2;1,3"]), st.integers(1, 3))
+    def test_agrees_with_is_section_on_the_built_complexes(self, text, k):
+        # Every source and target one degree apart, entries or not, of the
+        # complexes on all four spaces that the presence tests build.
+        from orbiflip.linalg import entry_is_section
+
+        spaces = set()
+        for cx in _presence_complexes(seq(text), k):
+            for d, sources in cx.terms.items():
+                for src in sources:
+                    for tgt in cx.terms.get(d + 1, ()):
+                        delta = _twist_difference(cx.space, src, tgt)
+                        want = is_section(cx.seq, cx.space, delta, src.offset - tgt.offset)
+                        assert entry_is_section(cx.seq, cx.space, src, tgt) == want
+                        spaces.add((cx.space, want))
+        assert {space for space, ok in spaces if ok} == {"minus", "plus", "Y", "module"}
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(["minus", "plus", "Y", "module"]), st.data())
+    def test_agrees_with_is_section_on_random_terms_of_one_reference_degree(self, space, data):
+        # Random offsets and Y thresholds, the twists set to the reference
+        # degree 0: on Y this reaches entries whose only fault is da < k1.
+        from orbiflip.linalg import entry_is_section
+
+        s = seq("1,2;1,3")
+        flat = st.lists(st.integers(-1, 3), min_size=4, max_size=4)
+
+        def term():
+            f = data.draw(flat)
+            off = Character(tuple(f[:2]), tuple(f[2:]))
+            if space == "Y":
+                k1 = data.draw(st.integers(-3, 6))
+                da, db = degree(s, "Y", off)
+                return Term((k1, k1 + da - db), off)
+            return Term(-degree(s, space, off), off)
+
+        src, tgt = term(), term()
+        MonomialComplex(s, space, {0: [src], 1: [tgt]}, {})  # one reference degree
+        delta = _twist_difference(space, src, tgt)
+        want = is_section(s, space, delta, src.offset - tgt.offset)
+        assert entry_is_section(s, space, src, tgt) == want
+
 
 class TestFromKeys:
     def test_terms_numbered_in_insertion_order(self):
@@ -813,6 +887,23 @@ class TestPresenceCounts:
         pairs = lambda t: min(t, 314 - t) + 1
         assert count_presence(cx, 0, low=0, high=157) == {
             1: sum(pairs(t) ** 2 for t in range(315))
+        }
+
+    def test_counts_beyond_24_bits_are_exact(self, monkeypatch):
+        # With the limit raised, one box of 5001^3 free points whose counts
+        # per weighted sum pass 2^24 near the middle, so packed slots of a
+        # fixed 24 bits would carry into each other.  Closed form as in
+        # test_box_too_large_refused_like_the_enumeration.
+        from orbiflip import linalg, single_twist_complex
+        from orbiflip.linalg import count_presence
+
+        monkeypatch.setattr(linalg, "ENUMERATION_LIMIT", 10**12)
+        cx = single_twist_complex(seq("1,1;1,1"), "minus", 0)
+        high = 5000
+        pairs = lambda t: min(t, 2 * high - t) + 1
+        assert pairs(high) ** 2 > 2**24
+        assert count_presence(cx, 0, low=0, high=high) == {
+            1: sum(pairs(t) ** 2 for t in range(2 * high + 1))
         }
 
     def test_empty_box_and_other_sides_refused(self):

@@ -461,9 +461,7 @@ class TestPerMaskCertificate:
         if augmented:
             cx = resolution._augmented(weights, positions, raw_diffs)
         else:
-            cx = resolution._assemble(
-                resolution._module_sequence(weights), "module", positions, raw_diffs
-            )
+            cx = build_resolution(WeightSequence(weights, ()), k, "module")
         tables = cx.presence_tables
         cells = set()
         for cell, mask, dims in resolution._cell_homology(cx):
@@ -676,6 +674,45 @@ class TestBuildResolution:
 
         one, two = fresh(), fresh()
         assert (one.terms, one.by_source) == (two.terms, two.by_source)
+
+    @pytest.mark.parametrize("text, k", [("1,2;1,1,1", 2), ("1,2,3;1,5", 4), ("2,1;1,1", 0)])
+    def test_equals_the_full_constructor_on_a_miss_and_a_hit(self, monkeypatch, text, k):
+        # A miss checks one construction, the augmented complex; a hit only
+        # derives.  Both equal the complex of module_resolution data built
+        # and checked by the constructor.
+        from orbiflip.linalg import MonomialComplex, Term
+
+        s = seq(text)
+        indexed = []
+        real = MonomialComplex._index
+        monkeypatch.setattr(
+            MonomialComplex, "_index", lambda cx, diffs: indexed.append(cx.space) or real(cx, diffs)
+        )
+        for side, extra in [("plus", 0), ("plus", -3), ("minus", 0), ("minus", 2), ("module", 5)]:
+            resolution._certified_module_resolution.cache_clear()
+            weights = s.b if side == "minus" else s.a
+            positions, raw_diffs = resolution.module_resolution(weights, k)
+
+            def term(mu):
+                if side == "module":
+                    return Term(-weighted_degree(weights, mu), Character(mu, ()))
+                embed = Character((0,) * s.m, mu) if side == "minus" else Character(mu, (0,) * s.n)
+                return Term(weighted_degree(weights, mu) + extra, embed)
+
+            terms = {-l: [term(mu) for mu in gens] for l, gens in enumerate(positions)}
+            diffs = {-l: table for l, table in enumerate(raw_diffs, start=1)}
+            for outcome, checked in (("miss", ["module"]), ("hit", [])):
+                indexed.clear()
+                cx = build_resolution(s, k, side, extra_twist=extra)
+                assert indexed == checked, outcome
+                ref = MonomialComplex(cx.seq, side, terms, diffs)
+                assert cx.seq == (s if side != "module" else WeightSequence(s.a, ()))
+                assert (cx.space, cx.terms, cx.by_source, cx.reference_degree) == (
+                    ref.space,
+                    ref.terms,
+                    ref.by_source,
+                    ref.reference_degree,
+                ), (outcome, side, extra)
 
     def test_strand_exactness_deep_sweep(self):
         # Exact away from position one for strand degrees up to k + sum + 10.
