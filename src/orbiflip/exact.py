@@ -2,21 +2,20 @@
 
 Everything downstream (strand, resolution and Cech homology) reduces to the
 homology of small sparse complexes, and all of it goes through one engine,
-Gaussian chain reduction, which over a field eliminates the differential
-entirely and leaves homology dimensions as the surviving cell counts.  A
-filtered complex, whose prefixes are the strands along one run of cells, is
-reduced once for all its prefixes by persistence column reduction
-(filtered_homology).  Both take int or Fraction entries as given:
-linalg.MonomialComplex alone decides how a coefficient is stored, and
-refuses floats.  No syzygies are solved: the resolutions come in closed
-form (see resolution.py).  Rational kernels (rref, kernel_basis) and
-fraction-free (Bareiss) ranks are not called by the package; they stay as
-references for the tests, and the benchmark tracer still wraps them.
+persistence column reduction with clearing (filtered_homology), which
+reduces a filtered complex once for all its prefixes; a plain complex is the
+filtered complex of one step (chain_reduce_homology).  Entries are ints or
+Fractions, taken as given: linalg.MonomialComplex alone decides how a
+coefficient is stored, and refuses floats.  No syzygies are solved: the
+resolutions come in closed form (see resolution.py).  Rational kernels
+(rref, kernel_basis) and fraction-free (Bareiss) ranks are not called by the
+package; they stay as references for the tests, and the benchmark tracer
+still wraps them.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 
@@ -117,75 +116,23 @@ def kernel_basis(rows, ncols: int) -> list[tuple[Fraction, ...]]:
 
 
 def chain_reduce_homology(cell_degree: dict, entries: dict) -> dict[int, int]:
-    """Homology dimensions of a sparse complex over Q by Gaussian chain reduction.
+    """Homology dimensions of a sparse complex over Q: filtered_homology with
+    every cell entering at the one step.
 
     cell_degree maps cell ids to their cohomological degree; entries maps
-    (src, tgt) with deg(tgt) == deg(src) + 1 to a nonzero coefficient, and the
-    entries must compose to zero.  Eliminating an entry c at (s, t) removes
-    both cells and corrects every parallel pair s' -> t, s -> t' by -a*b/c;
-    over a field this terminates with zero differential, so homology in each
-    degree is the number of surviving cells.  Entries are ints or Fractions
-    and are used as given.  A pivot c = +-1 divides as a*c, so int entries
-    with unit pivots stay in int arithmetic; any other pivot divides through
-    Fraction, so every value stays exact.
+    (src, tgt) with deg(tgt) == deg(src) + 1 to a coefficient, and the
+    entries must compose to zero.  The cells go in descending degree, so
+    every target comes before its sources, and the entries become one row
+    per source.  Entries are ints or Fractions and are used as given: int
+    entries stay ints at unit pivots, and only a non-unit pivot divides
+    through Fraction.
     """
-    out: dict = {c: {} for c in cell_degree}
-    inc: dict = {c: {} for c in cell_degree}
+    rows: dict = {c: [] for c in cell_degree}
     for (s, t), coeff in entries.items():
         if coeff:
-            out[s][t] = coeff
-            inc[t][s] = coeff
-
-    def eliminate(s, t):
-        c = out[s].pop(t)
-        del inc[t][s]
-        row = list(out[s].items())
-        col = list(inc[t].items())
-        for t2, _ in row:
-            del inc[t2][s]
-        for s2, _ in col:
-            del out[s2][t]
-        for t2 in out[t]:
-            del inc[t2][t]
-        for s2 in inc[s]:
-            del out[s2][s]
-        del out[s], inc[s], out[t], inc[t]
-        touched = []
-        unit = c == 1 or c == -1
-        for s2, a in col:
-            factor = a * c if unit else Fraction(a) / c
-            target_row = out[s2]
-            for t2, b in row:
-                new = target_row.get(t2, 0) - factor * b
-                if new:
-                    target_row[t2] = new
-                    inc[t2][s2] = new
-                elif t2 in target_row:
-                    del target_row[t2]
-                    del inc[t2][s2]
-            touched.append(s2)
-        return touched
-
-    # Sparse cells first keeps fill-in low on Cech-like complexes.
-    queue = deque(
-        sorted(out, key=lambda c: (len(out[c]) + len(inc[c]), cell_degree[c]))
-    )
-    while queue:
-        s = queue.popleft()
-        if s not in out or not out[s]:
-            continue
-        t = min(out[s], key=lambda cand: len(inc[cand]))
-        queue.extend(eliminate(s, t))
-        if out.get(s):
-            queue.append(s)
-        if not queue:
-            queue.extend(c for c in out if out[c])
-
-    dims: dict[int, int] = {}
-    for c in out:
-        d = cell_degree[c]
-        dims[d] = dims.get(d, 0) + 1
-    return dims
+            rows[s].append((t, coeff))
+    cells = sorted(cell_degree, key=cell_degree.__getitem__, reverse=True)
+    return filtered_homology(cells, cell_degree, dict.fromkeys(cells, 0), rows, 1)[0]
 
 
 def filtered_homology(cells, cell_degree, cell_step, rows, steps: int) -> list[dict[int, int]]:

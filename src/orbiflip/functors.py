@@ -458,7 +458,9 @@ def equivalence_suite(seq: WeightSequence, k_range) -> VerificationReport:
     first round trip runs, so a threshold above the resolution cap or a box
     above the enumeration limit anywhere in the range is refused, with the
     first such job's error, before any sweep.  Jobs of one (seq, k) and first
-    functor share its resolved image.
+    functor share its resolved image.  A flop that is its own swap lists its
+    mirrored jobs twice; each distinct job runs once, and its report stands
+    at every place the job is listed.
     """
     _require_roundtrip_preconditions(seq)
     ks = sorted(set(map(_integer_k, k_range)))
@@ -472,14 +474,15 @@ def equivalence_suite(seq: WeightSequence, k_range) -> VerificationReport:
     if seq.klevel() == 0:
         swapped = seq.swap()
         jobs += [(swapped, k, pair) for k in nonnegative for pair in ("GF", "HF")]
-    plans = [_plan_roundtrip(*job) for job in jobs]
+    plans = {job: _plan_roundtrip(*job) for job in dict.fromkeys(jobs)}
     mids: dict = {}
-    children = []
-    for (s, k, pair), (image, low, caps) in zip(jobs, plans):
+    reports = {}
+    for (s, k, pair), (image, low, caps) in plans.items():
         key = (s, k, _PAIRS[pair][0])
         if key not in mids:
             mids[key] = as_complex(s, image)
-        children.append(roundtrip_check(s, k, pair, plan=(mids[key], low, caps)))
+        reports[s, k, pair] = roundtrip_check(s, k, pair, plan=(mids[key], low, caps))
+    children = [reports[job] for job in jobs]
     verdict = all(c.verdict for c in children)
     return VerificationReport(
         title="equivalence suite",

@@ -22,7 +22,9 @@ the cover by the m*n charts {x_i y_j != 0} has 2^(m*n) - 1 chart subsets.
 Membership of a character on a cell is a sign pattern plus, on Y and for
 threshold ideal sheaves, one threshold flag, so homology dimensions are
 memoized per pattern.  Hypercohomology of complexes of twists runs the full
-Cech double complex per strand through exact chain reduction.
+Cech double complex per strand.  Pattern and double complexes alike reduce
+through exact.chain_reduce_homology, the one-step case of the package's one
+homology engine.
 
 One sweep serves both tables, cell by cell (_cell_sweep): O(twist) is a
 one-term complex, and a threshold is one more cut on da.  A cell of the

@@ -351,9 +351,9 @@ class TestEquivalenceSuite:
 
     def test_plans_each_job_once_and_resolves_each_first_image_once(self, monkeypatch):
         # On the Atiyah flop at k = 2: GF, HF, G'F', H'F' and the swapped GF
-        # and HF, whose sequence is the same, so F and F' have two first
-        # images between them; each second functor's image is resolved on
-        # its own.
+        # and HF, whose sequence is the same, so there are four distinct jobs
+        # and F and F' have two first images between them; each second
+        # functor's image is resolved on its own.
         from collections import Counter
 
         import orbiflip.functors as functors
@@ -374,10 +374,32 @@ class TestEquivalenceSuite:
         report = equivalence_suite(ATIYAH, [2])
         assert report.verdict
         jobs = [(ATIYAH, 2, c.inputs["pair"]) for c in report.children]
-        assert planned == jobs and len(jobs) == 6
+        assert planned == list(dict.fromkeys(jobs)) and len(planned) == 4
         firsts = {apply(ATIYAH, first, 2) for first in ("F", "Fprime")}
         assert all(isinstance(image, IdealImage) for image in firsts)
         assert Counter(obj for obj in resolved if obj in firsts) == dict.fromkeys(firsts, 1)
+
+    def test_self_swapped_flop_runs_each_round_trip_once(self, monkeypatch):
+        # (1,1;1,1) is its own swap, so its mirrored GF and HF repeat the
+        # first two jobs: each runs once and is reported at both places.
+        import orbiflip.functors as functors
+
+        calls = []
+        original = functors.roundtrip_check
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(functors, "roundtrip_check", counting)
+        report = equivalence_suite(ATIYAH, [2])
+        monkeypatch.undo()
+        assert calls == [(ATIYAH, 2, pair) for pair in ("GF", "HF", "G'F'", "H'F'")]
+        pairs = ["GF", "HF", "G'F'", "H'F'", "GF", "HF"]
+        assert [c.inputs["pair"] for c in report.children] == pairs
+        assert [c.to_json_dict() for c in report.children] == [
+            roundtrip_check(ATIYAH, 2, pair).to_json_dict() for pair in pairs
+        ]
 
     def test_non_integer_k_refused_before_planning(self, monkeypatch):
         # A float or a bool is not truncated or read as 1; the single round
