@@ -34,18 +34,20 @@ from .linalg import (
     SPACE_MINUS,
     SPACE_PLUS,
     SPACE_Y,
+    CellRuns,
     Character,
     MonomialComplex,
     Term,
     characters_of_degree,
     check_box,
-    count_presence,
+    presence_boxes,
     single_twist_complex,
-    strand,
+    strand,  # noqa: F401  (not called; perfbench/test_perfbench.py pins it)
 )
 from .resolution import build_resolution, check_threshold
 from .sheaves import (
     cohomology_table,
+    dualizing_class,
     euler_cotangent_complex,
     hypercohomology_bounds,
     hypercohomology_table,
@@ -77,13 +79,16 @@ class FunctorSpec:
 
     @classmethod
     def for_sequence(cls, name: str, seq: WeightSequence) -> "FunctorSpec":
-        sa, sb = seq.sum_a, seq.sum_b
+        # omega_{Y/X+} and omega_{Y/X-} as powers of O(Ebar) = O(-1, -1).
+        plus, minus = (
+            -dualizing_class(seq, SPACE_Y, relative=side).k[0] for side in (SPACE_PLUS, SPACE_MINUS)
+        )
         table = {
             "F": (SPACE_MINUS, SPACE_PLUS, 0),
-            "G": (SPACE_PLUS, SPACE_MINUS, sa - 1),
-            "H": (SPACE_PLUS, SPACE_MINUS, sb - 1),
-            "Fprime": (SPACE_MINUS, SPACE_PLUS, sb - 1),
-            "Gprime": (SPACE_PLUS, SPACE_MINUS, sa - sb),
+            "G": (SPACE_PLUS, SPACE_MINUS, plus),
+            "H": (SPACE_PLUS, SPACE_MINUS, minus),
+            "Fprime": (SPACE_MINUS, SPACE_PLUS, minus),
+            "Gprime": (SPACE_PLUS, SPACE_MINUS, plus - minus),
             "Hprime": (SPACE_PLUS, SPACE_MINUS, 0),
         }
         if name not in table:
@@ -288,15 +293,16 @@ def roundtrip_check(seq: WeightSequence, k: int, pair: str, *, plan=None) -> Ver
     nonnegative exponents in a box whose degree scale exceeds
     k + sum(a) + sum(b).  Each such character is a section of O(k), so the
     composite's strand homology must be one-dimensional in degree 0 there.
-    The characters are not visited one by one: count_presence counts them
-    per presence mask of the composite, one strand is reduced per mask,
-    and each mask's count goes to strands_checked (and to the mismatches
-    when its homology is not {0: 1}).  Only the reported first mismatches
-    and matched samples come from a scan in enumeration order, which stops
-    once the counts say they are all found.  Characters with a negative exponent
-    are checked all at once: when every term offset of the composite is
-    >= 0, every strand there is empty, as O(k)'s is, so a negative offset is
-    reported as a mismatch and fails the verdict.
+    The characters are not visited one by one: presence_boxes counts them
+    per box of the composite's cells, linalg.CellRuns gives each box's
+    homology from one filtered reduction per run of cells, and each box's
+    count goes to strands_checked (and to the mismatches when its homology
+    is not {0: 1}).  Only the reported first mismatches and matched samples
+    come from a scan in enumeration order, which stops once the counts say
+    they are all found.  Characters with a negative exponent are checked all
+    at once: when every term offset of the composite is >= 0, every strand
+    there is empty, as O(k)'s is, so a negative offset is reported as a
+    mismatch and fails the verdict.
     equivalence_suite alone passes plan: the job's resolved first image and
     sweep box (mid, low, caps), so that it plans each job once.
     """
@@ -319,20 +325,12 @@ def roundtrip_check(seq: WeightSequence, k: int, pair: str, *, plan=None) -> Ver
         for t in ts
         if not t.offset.is_nonnegative()
     ]
-    # Every character of the box has exponents >= 0 and minus-degree k, so
-    # it is a section of O(k), whose strand there is one-dimensional in
-    # degree 0.  Strand homology is a function of the composite's presence
-    # mask alone, so each mask builds and checks its strand once; the mask's
-    # characters are counted.
     expected = {0: 1}
-    cells = count_presence(out, k, low=low, high=caps)
+    runs = CellRuns(out)
     homology = {}
     checked = wrong = 0
-    for mask, count in cells.items():
-        st = strand(out, mask)
-        hom = homology[mask] = st.homology()
-        if sum((-1) ** d * h for d, h in hom.items()) != st.euler_characteristic():
-            raise InconsistentDegrees("strand Euler characteristic broke")
+    for box, mask, count in presence_boxes(out, k, low=low, high=caps):
+        hom = homology[mask] = runs.at(tuple(j for _, _, j in box))[1] if mask else {}
         checked += count
         if hom != expected:
             wrong += count
@@ -605,9 +603,8 @@ def example51_verify(s_values=range(-2, 4), box: int = 5) -> VerificationReport:
     """
     seq = WeightSequence((1, 2), (1, 1, 1))
     variant_a = pull_complex(euler_cotangent_complex(seq, SPACE_PLUS, -1))
-    c = seq.sum_a - 1
     variant_b = pull_complex(euler_cotangent_complex(seq, SPACE_PLUS, 1)).tensor(
-        (-c, -c)
+        dualizing_class(seq, SPACE_Y, relative=SPACE_PLUS).k
     )
 
     rows = []

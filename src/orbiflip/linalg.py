@@ -1,26 +1,19 @@
-"""Torus characters, monomial complexes of twists, and strand linear algebra.
+"""Torus characters, monomial complexes of twists, and their strand homology.
 
 A character is an exponent pair (alpha, beta) for the x- and y-variables.
 Complexes of orbifold line bundles with monomial differentials decompose into
-finite-dimensional strands, one per character; every verification in this
-package bottoms out in exact homology computations on such strands.
-
-Each complex term carries, besides its twist, an offset character: the
-cumulative monomial multidegree relative to the complex's reference sheaf.
-The strand of the complex at an absolute character chi selects in each term
-the single potential basis monomial chi - offset and keeps it when it is a
-section of the term's twist on the ambient space.  Differential entries
-store their exact coefficients alone, ints or non-integral Fractions (see
-MonomialComplex): an entry's monomial is the difference of its source and
-target offsets, derived only to check that the entry is a section.
+finite-dimensional strands, one per character.  Each term carries, besides
+its twist, an offset character: the cumulative monomial multidegree relative
+to the complex's reference sheaf.  The strand at a character chi keeps a
+term when chi - offset is a section of its twist.  Differential entries
+store their exact coefficients alone (see MonomialComplex): an entry's
+monomial is the difference of its source and target offsets.
 
 Each complex is compiled once into PresenceTables: the term offsets cut every
 coordinate into intervals, the tuple of a character's interval indices is
-its cell, and the cell fixes which terms its strand keeps, as a bitmask over
-the terms: the presence mask.  Strands are keyed by that mask, not by a
-character, and read the differential through the complex's one index of
-entries by source term.  A strand holds its differentials as the sparse
-entry map that chain reduction takes.
+its cell, and the cell fixes the presence mask, the bitmask of the terms its
+strand keeps.  CellRuns reduces the cells by runs; strand restricts a complex
+to one mask, the per-cell reference of the tests.
 """
 
 from __future__ import annotations
@@ -34,7 +27,7 @@ from operator import ge, mul
 from typing import Callable, Iterator, NamedTuple
 
 from .errors import BoxTooLarge, InconsistentDegrees, Unsupported
-from .exact import chain_reduce_homology
+from .exact import chain_reduce_homology, filtered_homology
 from .weights import WeightSequence
 
 SPACE_MINUS = "minus"
@@ -412,9 +405,6 @@ class MonomialComplex:
             tuple(sorted(self.entries())),
         )
 
-    def degrees(self) -> list[int]:
-        return sorted(self.terms)
-
     def term_count(self) -> int:
         return sum(len(ts) for ts in self.terms.values())
 
@@ -491,17 +481,12 @@ class StrandComplex:
     def dims(self) -> list[int]:
         return [len(b) for b in self.bases]
 
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** d * len(b) for d, b in zip(self.degrees, self.bases))
-
     def homology(self) -> dict[int, int]:
         """Nonzero homology dimensions by cohomological degree.
 
         Each basis element is a cell and each entry an edge of the complex
-        handed to chain reduction; without entries the dims are the homology.
+        handed to chain reduction.
         """
-        if not self.entries:
-            return {d: len(base) for d, base in zip(self.degrees, self.bases) if base}
         cells = {
             (d, i): d for d, base in zip(self.degrees, self.bases) for i in range(len(base))
         }
@@ -514,13 +499,15 @@ class PresenceTables(NamedTuple):
 
     coords[c] pairs the cuts on coordinate c with masks, where masks[j] is
     the bitmask of the term slots whose value is among the j smallest cuts:
-    the terms a value in interval j satisfies on c.  cell maps a character
-    to its cell, the tuple of its interval indices per coordinate, and mask
-    to the bitmask of the term slots present in its strand.  groups lists
-    per degree, from the lowest up, the (bit, index) pairs of its terms.
+    the terms a value in interval j satisfies on c, and enters[c][b] is the
+    interval where slot b joins them.  cell maps a character to its cell,
+    the tuple of its interval indices per coordinate, and mask to the
+    bitmask of the term slots present in its strand.  groups lists per
+    degree, from the lowest up, the (bit, index) pairs of its terms.
     """
 
     coords: tuple[tuple[list[int], list[int]], ...]
+    enters: tuple[tuple[int, ...], ...]
     cell: Callable[[Character], tuple[int, ...]]
     mask: Callable[[Character], int]
     groups: tuple[tuple[tuple[int, int], ...], ...]
@@ -534,25 +521,21 @@ def compile_presence_tables(cx: MonomialComplex) -> PresenceTables:
     """Compile the cells and the strand membership rule of a complex, once
     (cached as MonomialComplex.presence_tables).
 
-    A term is present in the strand at a character when its candidate
-    monomial character - offset is a section of the term's twist.  All terms
-    share the reference degree, so on minus/plus a term is present iff
-    deg(character) is the reference degree and character >= offset
-    componentwise; on Y the degree test is da - db == reference degree and
-    each term adds the threshold da(character) >= k1 + da(offset); on module
-    the only condition is character >= offset.
+    A term is present in the strand at a character when character - offset
+    is a section of its twist.  All terms share the reference degree, so on
+    minus/plus a term is present iff deg(character) is the reference degree
+    and character >= offset componentwise; on Y the degree test is da - db
+    == reference degree, plus the threshold da(character) >= k1 +
+    da(offset); on module the only condition is character >= offset.
 
     So each term contributes one value per coordinate of a flattened
-    character: its offset's exponents, and on Y one more coordinate,
-    da(character), valued k1 + da(offset).  The distinct values on a
-    coordinate cut it into intervals, and the tuple of a character's
-    interval indices is its cell.  On a cell, whether character - offset is
-    negative on a coordinate, and on Y the threshold, is fixed for every
-    term; so are the strand membership, read off by table lookup as the AND
-    of the per-coordinate masks, and the per-term sign patterns and flags of
-    the Cech oracle.  mask reads these tables per character and bases
-    decodes a mask for strand; count_presence and the oracle's sweep read
-    them per box of cell_boxes, a product of runs between the cuts.
+    character: its offset's exponents, and on Y one more coordinate, da,
+    valued k1 + da(offset).  The distinct values on a coordinate cut it into
+    intervals, and a character's interval indices are its cell.  On a cell
+    the strand membership, the AND of the per-coordinate masks, is fixed,
+    and so are the per-term sign patterns and flags of the Cech oracle.
+    mask reads these tables per character; presence_boxes, CellRuns and the
+    oracle's sweep read them per cell.
     """
     seq, space = cx.seq, cx.space
     on_y = space == SPACE_Y
@@ -576,6 +559,9 @@ def compile_presence_tables(cx: MonomialComplex) -> PresenceTables:
 
     coords = tuple(coordinate(c) for c in range(seq.m + seq.n + on_y))
     lines = [cuts for cuts, _ in coords]
+    enters = tuple(
+        tuple(bisect_right(cuts, off[c]) for off in flats) for c, cuts in enumerate(lines)
+    )
     a = seq.a
 
     def cell(character):
@@ -607,7 +593,7 @@ def compile_presence_tables(cx: MonomialComplex) -> PresenceTables:
             found &= masks[j]
         return found
 
-    return PresenceTables(coords, cell, mask, groups)
+    return PresenceTables(coords, enters, cell, mask, groups)
 
 
 def interval_runs(cuts, lo: int, hi: int) -> list[tuple[int, int, int]]:
@@ -648,18 +634,18 @@ def cell_boxes(cx: MonomialComplex, value, *, low, high) -> list[tuple[tuple[int
     return [box for box, _, _ in boxes]
 
 
-def count_presence(cx: MonomialComplex, value, *, low, high) -> dict[int, int]:
-    """Count the characters of characters_of_degree(seq, "minus", value,
-    low=low, high=high) per presence mask of a minus-side complex (other
-    sides are refused), box by box of cell_boxes, without visiting each.
+def presence_boxes(cx: MonomialComplex, value, *, low, high) -> Iterator[tuple[tuple, int, int]]:
+    """Yield (box, mask, count) for each box of cell_boxes that holds any of
+    characters_of_degree(seq, "minus", value, low=low, high=high), without
+    visiting them, on a minus-side complex (other sides are refused).
 
-    Returns {mask: count}: a box's mask is the AND of its runs' masks (0 off
-    the reference degree).  Its count is one exact big-int product (Kronecker
-    substitution, Schoenhage 1982) of the free coordinates' runs, each a
-    geometric series in t^|w| offset to start at t^0 and packed in slots of
-    one bit more than the bit length of the box's free-point count, which no
-    coefficient exceeds, so no slot carries.  Slot s then counts the free
-    points of weighted sum s plus the least one, and the solved coordinate of
+    A box's mask is the AND of its runs' masks (0 off the reference degree).
+    Its count is one exact big-int product (Kronecker substitution,
+    Schoenhage 1982) of the free coordinates' runs, each a geometric series
+    in t^|w| offset to start at t^0 and packed in slots of one bit more than
+    the bit length of the box's free-point count, which no coefficient
+    exceeds, so no slot carries.  Slot s then counts the free points of
+    weighted sum s plus the least one, and the solved coordinate of
     _enumeration_plan reads, by shift and mask, the slot each value leaves.
     """
     if cx.space != SPACE_MINUS:
@@ -667,7 +653,6 @@ def count_presence(cx: MonomialComplex, value, *, low, high) -> dict[int, int]:
     weights, _, _, solve_at, free = _enumeration_plan(cx.seq, low, high)
     w_solve, tables = weights[solve_at], [masks for _, masks in cx.presence_tables.coords]
     present = value == cx.reference_degree
-    cells: dict[int, int] = {}
     for box in cell_boxes(cx, value, low=low, high=high):
         runs = [(weights[c], box[c][0], box[c][1]) for c in free]
         width = prod(last - first + 1 for _, first, last in runs).bit_length() + 1
@@ -680,25 +665,100 @@ def count_presence(cx: MonomialComplex, value, *, low, high) -> dict[int, int]:
         slots = range(base - w_solve * first, base - w_solve * (last + 1), -w_solve)
         ones = (1 << width) - 1
         count = sum(packed >> width * s & ones for s in slots if s >= 0)
-        if not count:
-            continue
-        mask = -1 if present else 0
-        for masks, (_, _, j) in zip(tables, box):
-            mask &= masks[j]
+        if count:
+            mask = -1 if present else 0
+            for masks, (_, _, j) in zip(tables, box):
+                mask &= masks[j]
+            yield box, mask, count
+
+
+def count_presence(cx: MonomialComplex, value, *, low, high) -> dict[int, int]:
+    """{mask: count}: the counts of presence_boxes, summed per mask."""
+    cells: dict[int, int] = {}
+    for _, mask, count in presence_boxes(cx, value, low=low, high=high):
         cells[mask] = cells.get(mask, 0) + count
     return cells
 
 
-def strand(cx: MonomialComplex, mask: int) -> StrandComplex:
-    """Restrict a monomial complex to the terms of one presence mask.
+class CellRuns:
+    """Strand homology on the cells of a complex's compiled tables, by runs:
+    the one engine of the build certificates and the round trips.
 
-    Strand homology is constant on a cell of the term offsets, so a strand is
-    keyed by its mask (PresenceTables.mask of any of its characters, or a key
-    of count_presence) and not by a character.  Its bases come from
+    Along the axis, the coordinate with the most cuts, the cells of a run
+    (the other intervals fixed) have nested masks.  The run's terms, the AND
+    of the other coordinates' masks, are filtered by their interval on the
+    axis, and an entry's target (no higher on any coordinate, as the entry
+    is a section) is in the run and enters no later.  So one
+    exact.filtered_homology call, whose order checks refuse an absent
+    target, gives every cell of a run, once per distinct run term set.
+    """
+
+    def __init__(self, cx: MonomialComplex):
+        tables = cx.presence_tables
+        coords = self.coords = tables.coords
+        r = self.axis = max(range(len(coords)), key=lambda c: len(coords[c][0]))
+        low = min(cx.terms, default=0)
+        slots = [(d, i, bit) for d, g in enumerate(tables.groups, low) for bit, i in g]
+        # Terms numbered by entry interval on the axis, then falling degree.
+        order = sorted(range(len(slots)), key=lambda b: (tables.enters[r][b], -slots[b][0]))
+        slots = [slots[b] for b in order]
+        number = {(d, i): n for n, (d, i, _) in enumerate(slots)}
+        self.degree_of = [d for d, _, _ in slots]
+        self.bits = [bit for _, _, bit in slots]
+        self.rows = [tuple((number[d + 1, j], c) for j, c in cx.row(d, i)) for d, i, _ in slots]
+        # enters[c][n]: the interval of coordinate c at which term n enters.
+        self.enters = [[enters[b] for b in order] for enters in tables.enters]
+        self.memo: dict[int, list[dict[int, int]]] = {}
+
+    def _run_dims(self, run: int, terms=None) -> list[dict[int, int]]:
+        """The dims of every cell of the run of term set run, reduced once;
+        terms lists its numbered terms, by default from run's bits."""
+        if run not in self.memo:
+            if terms is None:
+                terms = [n for n, bit in enumerate(self.bits) if run & bit]
+            steps, entry = len(self.coords[self.axis][1]), self.enters[self.axis]
+            self.memo[run] = filtered_homology(terms, self.degree_of, entry, self.rows, steps)
+        return self.memo[run]
+
+    def at(self, cell: tuple[int, ...]) -> tuple[int, dict[int, int]]:
+        """The presence mask and strand homology of one cell."""
+        run, j = -1, cell[self.axis]
+        for c, ((_, masks), i) in enumerate(zip(self.coords, cell)):
+            if c != self.axis:
+                run &= masks[i]
+        mask = run & self.coords[self.axis][1][j]
+        return mask, self._run_dims(run)[j] if mask else {}
+
+    def cells(self) -> Iterator[tuple[tuple[int, ...], int, dict[int, int]]]:
+        """Yield (cell, mask, dims) for every cell holding a character of
+        nonnegative exponents, from the interval of 0 to the last, unbounded
+        one on each coordinate; the walk narrows each run's term list."""
+        coords, axis = self.coords, self.axis
+        others = [c for c in range(len(coords)) if c != axis]
+
+        def runs(level, prefix, run, terms):
+            if level == len(others):
+                yield prefix, run, terms
+                return
+            c = others[level]
+            (cuts, masks), at = coords[c], self.enters[c]
+            for j in range(bisect_right(cuts, 0), len(masks)):
+                kept = [n for n in terms if at[n] <= j]
+                yield from runs(level + 1, prefix + (j,), run & masks[j], kept)
+
+        cuts, masks = coords[axis]
+        for prefix, run, terms in runs(0, (), -1, range(len(self.bits))):
+            dims = self._run_dims(run, terms)
+            for j in range(bisect_right(cuts, 0), len(masks)):
+                yield prefix[:axis] + (j,) + prefix[axis:], run & masks[j], dims[j]
+
+
+def strand(cx: MonomialComplex, mask: int) -> StrandComplex:
+    """Restrict a monomial complex to the terms of one presence mask, the
+    per-cell reference for CellRuns in the tests.  Its bases come from
     PresenceTables.bases, and only the by_source rows of its present terms
-    are read.  Entries act by coefficient; a present source mapping to an
-    absent target would violate monotonicity of section membership and
-    raises InconsistentDegrees.
+    are read; a present source mapping to an absent target raises
+    InconsistentDegrees.
     """
     bases = cx.presence_tables.bases(mask)
     low = min(cx.terms, default=0)
@@ -724,13 +784,9 @@ def strand_by_degree(cx: MonomialComplex, value: int) -> StrandComplex:
     """
     if cx.space != SPACE_MODULE:
         raise Unsupported("degree strands are defined for module complexes only")
-    seq, mask = cx.seq, cx.presence_tables.mask
-    cap = max(value, 0)
-    chars = sorted(
-        ch
-        for ch in characters_of_degree(seq, SPACE_MODULE, value, low=0, high=cap)
-        if is_section(seq, SPACE_MODULE, None, ch)
-    )
+    # Every character with nonnegative exponents is a section on module.
+    mask = cx.presence_tables.mask
+    chars = sorted(characters_of_degree(cx.seq, SPACE_MODULE, value, low=0, high=max(value, 0)))
     strands = [s for s in (strand(cx, mask(ch)) for ch in chars) if any(s.dims())]
     if not strands:
         return StrandComplex((), (), {})

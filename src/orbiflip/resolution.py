@@ -24,11 +24,11 @@ Two certificates check what the construction returns:
    on the symbols of _ek_symbols and certifies, without appeal to the
    theorem, that it is minimal (no entry is a unit) and that it resolves
    I_k: the augmented complex F -> R is checked on every cell of its term
-   offsets, the finitely many boxes on which a strand is constant, with one
-   filtered reduction per run of cells along one coordinate
-   (exact.filtered_homology).  The augmented complex is the one checked
-   construction per (w, k), cached without its augmentation term or cell
-   tables; every build derives its complex from it, sharing the differential.
+   offsets, the finitely many boxes on which a strand is constant, one run
+   of cells at a time by linalg.CellRuns, the engine of the round trips too.
+   The augmented complex is the one checked construction per (w, k), cached
+   without its augmentation term or cell tables; every build derives its
+   complex from it, sharing the differential.
 
 Both count the table before building it and refuse one of more than
 TABLE_CAP symbols.  build_resolution also prices its certificate from the
@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
@@ -48,10 +47,9 @@ from math import prod
 from . import linalg
 from .errors import ResolutionConstructionFailure, Unsupported
 
-# chain_reduce_homology and strand are not called here.
-# perfbench/test_perfbench.py checks that its tracer rebinds this module's
-# names for the homology engine and for strand, so both bindings stay.
-from .exact import chain_reduce_homology, filtered_homology  # noqa: F401
+# chain_reduce_homology and strand are not called here; perfbench/test_perfbench.py
+# checks that its tracer rebinds both names in this module, so they stay.
+from .exact import chain_reduce_homology  # noqa: F401
 from .linalg import (  # noqa: F401
     SPACE_MINUS, SPACE_MODULE, SPACE_PLUS, Character, MonomialComplex, Term, strand,
 )
@@ -213,7 +211,7 @@ def check_table_size(weights, k: int) -> int:
 def check_certificate_price(weights, k: int, symbols: int) -> int:
     """The price of the exactness certificate of an explicit build of I_k, a
     table of the given number of symbols, from weights and k alone: runs
-    times symbols, an upper bound on the columns _cell_homology reduces.
+    times symbols, an upper bound on the columns linalg.CellRuns reduces.
 
     Every offset of the augmented complex has exponent at most ceil(k / w_c)
     on coordinate c (a generator's last exponent, or a head's exponent plus
@@ -483,59 +481,6 @@ def _augmented(weights, positions, raw_diffs) -> MonomialComplex:
     return MonomialComplex(WeightSequence(tuple(weights), ()), SPACE_MODULE, terms, diffs)
 
 
-def _cell_homology(cx: MonomialComplex):
-    """Yield (cell, mask, dims) for every cell of the module complex cx that
-    holds a monomial: its interval index per coordinate (from the one that
-    holds exponent 0 up to the last, unbounded one), its presence mask and
-    the homology dims of its strand, nonzero entries only.
-
-    Along one coordinate r, the masks of the cells of a run (the other
-    coordinates' intervals fixed) are nested: each grows the last by the
-    terms whose offset on r is the next cut.  The run's terms E, the AND of
-    the other coordinates' masks, form a filtered complex: a term enters at
-    the interval of its offset on r, and its targets, whose offsets lie
-    below it, no later.  exact.filtered_homology then gives every cell of
-    the run in one reduction, and runs with the same E share it.  r is the
-    coordinate with the most cuts, so the runs are fewest and longest.
-    """
-    coords = cx.presence_tables.coords
-    r = max(range(len(coords)), key=lambda c: len(coords[c][0]))
-    # Terms numbered in filtration order along r: by the interval where they
-    # enter, then by decreasing degree; per coordinate, each term's interval.
-    terms = [
-        (bisect_right(coords[r][0], t.offset.alpha[r]), -d, d, i, t.offset.alpha)
-        for d, ts in cx.terms.items()
-        for i, t in enumerate(ts)
-    ]
-    terms.sort()
-    number = {(d, i): n for n, (_, _, d, i, _) in enumerate(terms)}
-    degree_of = [d for _, _, d, _, _ in terms]
-    rows = [tuple((number[d + 1, j], c) for j, c in cx.row(d, i)) for _, _, d, i, _ in terms]
-    entry = [[bisect_right(cuts, term[4][c]) for term in terms] for c, (cuts, _) in enumerate(coords)]
-    others = [c for c in range(len(coords)) if c != r]
-    cuts_r, masks_r = coords[r]
-    steps = len(masks_r)
-    memo: dict[int, list[dict[int, int]]] = {}
-
-    def runs(level, prefix, mask, slots):
-        if level == len(others):
-            yield prefix, mask, slots
-            return
-        c = others[level]
-        cuts, masks = coords[c]
-        at = entry[c]
-        for j in range(bisect_right(cuts, 0), len(masks)):
-            kept = [n for n in slots if at[n] <= j]
-            yield from runs(level + 1, prefix + (j,), mask & masks[j], kept)
-
-    for prefix, run, slots in runs(0, (), -1, range(len(terms))):
-        dims = memo.get(run)
-        if dims is None:
-            dims = memo[run] = filtered_homology(slots, degree_of, entry[r], rows, steps)
-        for j in range(bisect_right(cuts_r, 0), steps):
-            yield prefix[:r] + (j,) + prefix[r:], run & masks_r[j], dims[j]
-
-
 def _verify_exactness(weights, k, positions, raw_diffs):
     """The augmented complex F -> R must be exact on every module strand,
     except that the strands below degree k leave R/I_k at R.
@@ -548,19 +493,19 @@ def _verify_exactness(weights, k, positions, raw_diffs):
     A module strand depends only on its cell, the intervals between the
     term offsets that hold the monomial (the lcm lattice of the offsets,
     Gasharov-Peeva-Welker 1999), and the cells are finitely many, because
-    the last interval on each coordinate is unbounded.  _cell_homology
-    reduces them all, one run at a time.  A cell whose mask is the
-    augmentation alone holds only monomials outside the generated ideal, so
-    it must be bounded, its upper corner must lie below k and its homology
-    must be R's; every other cell holds only multiples of a generator, so
-    its lower corner must lie at or above k and it must be exact.  Together
-    these say that the generators span I_k and that F resolves it.
+    the last interval on each coordinate is unbounded; CellRuns.cells
+    reduces them all, by runs.  A cell whose mask is the augmentation alone
+    holds only monomials outside the generated ideal, so it must be bounded,
+    its upper corner must lie below k and its homology must be R's; every
+    other cell holds only multiples of a generator, so its lower corner must
+    lie at or above k and it must be exact.  Together these say that the
+    generators span I_k and that F resolves it.
     Returns the checked augmented complex.
     """
     cx = _augmented(weights, positions, raw_diffs)
     coords = cx.presence_tables.coords
     (augmentation, _), = cx.presence_tables.groups[-1]
-    for cell, mask, dims in _cell_homology(cx):
+    for cell, mask, dims in linalg.CellRuns(cx).cells():
         lows = [cuts[j - 1] for (cuts, _), j in zip(coords, cell)]
         highs = [cuts[j] - 1 if j < len(cuts) else None for (cuts, _), j in zip(coords, cell)]
         if mask == augmentation:

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbiflip import (
     IdealImage,
@@ -16,7 +20,13 @@ from orbiflip import (
     example51_verify,
     roundtrip_check,
 )
-from orbiflip.linalg import characters_of_degree
+from orbiflip.linalg import (
+    CellRuns,
+    characters_of_degree,
+    count_presence,
+    presence_boxes,
+    strand,
+)
 from orbiflip.functors import (
     FunctorSpec,
     pull_complex,
@@ -119,23 +129,38 @@ class TestRoundtrips:
         top = FLOP.sum_b - 1
         assert all(0 <= p <= top for p in rep.details["ebar_powers"])
 
-    def test_one_strand_per_presence_pattern(self, monkeypatch):
-        # Every character is checked, but a strand is built (and its homology
-        # computed) only the first time its presence pattern appears.
+    def test_one_reduction_per_run_term_set(self, monkeypatch):
+        # Every character is checked, but the composite is reduced once per
+        # distinct run term set of the sweep's cells, and no strand on its own.
+        # Building the reference first also caches the certified resolutions,
+        # whose certificates reduce through the same engine.
         import orbiflip.functors as functors
+        from orbiflip import exact, linalg
 
-        built = []
-        original = functors.strand
+        jobs = [(FLOP, 3, "GF"), (ATIYAH, 6, "HF"), (seq("1,1;2,1"), 2, "G'F'")]
+        expected = [len(_run_term_sets(*job)) for job in jobs]
+        calls = []
+        real = linalg.filtered_homology
 
-        def counting(cx, mask):
-            built.append(mask)
-            return original(cx, mask)
+        def counting(cells, *args):
+            calls.append(frozenset(cells))
+            return real(cells, *args)
 
-        monkeypatch.setattr(functors, "strand", counting)
-        rep = roundtrip_check(FLOP, 3, "GF")
-        assert rep.verdict
-        assert len(built) == len(set(built))
-        assert 0 < len(built) < rep.details["strands_checked"]
+        def forbidden(*args):
+            raise AssertionError("a strand was reduced on its own")
+
+        monkeypatch.setattr(linalg, "filtered_homology", counting)
+        for module in (functors, linalg):
+            monkeypatch.setattr(module, "strand", forbidden)
+        for module in (exact, linalg):
+            monkeypatch.setattr(module, "chain_reduce_homology", forbidden)
+        monkeypatch.setattr(linalg.StrandComplex, "homology", forbidden)
+        for job, runs in zip(jobs, expected):
+            calls.clear()
+            rep = roundtrip_check(*job)
+            assert rep.verdict
+            assert len(calls) == len(set(calls)) == runs
+            assert 0 < runs < rep.details["strands_checked"]
 
     def test_off_section_characters_have_empty_strands(self):
         # The sweep visits characters with nonnegative exponents only; at a
@@ -208,21 +233,15 @@ class TestRoundtrips:
         ))
         assert len(patterns) >= 5
         broken = patterns[which]
-        original_strand = functors.strand
+        real_at = CellRuns.at
 
-        class Wrong:
-            def homology(self):
-                return {0: 2}
+        def breaking(self, cell):
+            mask, dims = real_at(self, cell)
+            return mask, {0: 2} if mask == broken else dims
 
-            def euler_characteristic(self):
-                return 2
-
-        def breaking(cx, mask):
-            return Wrong() if mask == broken else original_strand(cx, mask)
-
-        monkeypatch.setattr(functors, "strand", breaking)
+        monkeypatch.setattr(CellRuns, "at", breaking)
         got = roundtrip_check(FLOP, k, "GF").details
-        want = _per_character_details(FLOP, k, "GF")
+        want = _per_character_details(FLOP, k, "GF", broken)
         for key in ("strands_checked", "mismatches", "mismatch_count", "matched_sample"):
             assert got[key] == want[key], key
         assert len(got["mismatches"]) == min(10, got["mismatch_count"])
@@ -244,9 +263,31 @@ def _roundtrip_composite(s, k, pair):
     return as_complex(s, functors._apply_with_powers(s, second, mid)[0])
 
 
-def _per_character_details(s, k, pair):
+def _run_term_sets(s, k, pair):
+    """The distinct run term sets of a round trip's sweep: per box with a
+    present term, the AND of its runs' masks off the coordinate with the
+    most cuts."""
+    import orbiflip.functors as functors
+
+    out = _roundtrip_composite(s, k, pair)
+    low, caps = functors._roundtrip_caps(s, k)
+    coords = out.presence_tables.coords
+    axis = max(range(len(coords)), key=lambda c: len(coords[c][0]))
+    runs = set()
+    for box, mask, _ in presence_boxes(out, k, low=low, high=caps):
+        if mask:
+            run = -1
+            for c, ((_, masks), (_, _, j)) in enumerate(zip(coords, box)):
+                if c != axis:
+                    run &= masks[j]
+            runs.add(run)
+    return runs
+
+
+def _per_character_details(s, k, pair, broken=None):
     """The reference round-trip sweep: every character visited in
-    enumeration order, one strand per presence pattern."""
+    enumeration order, one strand per presence pattern; the pattern broken,
+    if given, gets the wrong homology {0: 2}."""
     import orbiflip.functors as functors
     from orbiflip import single_twist_complex
 
@@ -266,7 +307,7 @@ def _per_character_details(s, k, pair):
         expected = {0: 1} if target.bases(target.mask(ch))[0] else {}
         pattern = out.presence_tables.mask(ch)
         if pattern not in memo:
-            memo[pattern] = functors.strand(out, pattern).homology()
+            memo[pattern] = {0: 2} if pattern == broken else strand(out, pattern).homology()
         hom = memo[pattern]
         checked += 1
         if hom != expected:
@@ -283,6 +324,52 @@ def _per_character_details(s, k, pair):
         "mismatch_count": len(mismatches),
         "matched_sample": sample,
     }
+
+
+ROUNDTRIP_JOBS = [
+    (text, k, pair)
+    for text in ("1,1;1,1", "1,2;1,1,1", "1,1;2,1", "1,2;1,3")
+    for k in range(4)
+    for pair in ("GF", "HF", "G'F'", "H'F'")
+    if "'" not in pair or k >= seq(text).sum_b - seq(text).sum_a
+]
+
+
+class TestCellRunsAgainstStrands:
+    """The run engine of the round-trip sweep against one strand per mask
+    and one visit per character."""
+
+    @settings(max_examples=2 * len(ROUNDTRIP_JOBS), deadline=None)
+    @given(st.sampled_from(ROUNDTRIP_JOBS))
+    def test_every_box_matches_its_strand(self, job):
+        import orbiflip.functors as functors
+
+        text, k, pair = job
+        s = seq(text)
+        out = _roundtrip_composite(s, k, pair)
+        assert out.reference_degree == k
+        low, caps = functors._roundtrip_caps(s, k)
+        runs = CellRuns(out)
+        summed = {}
+        for box, mask, count in presence_boxes(out, k, low=low, high=caps):
+            got, dims = runs.at(tuple(j for _, _, j in box))
+            assert got == mask
+            assert dims == strand(out, mask).homology(), (job, box)
+            summed[mask] = summed.get(mask, 0) + count
+        assert summed == count_presence(out, k, low=low, high=caps)
+        mask_of = out.presence_tables.mask
+        visited = Counter(
+            mask_of(ch) for ch in characters_of_degree(s, "minus", k, low=low, high=caps)
+        )
+        assert summed == visited
+        # Every cell of the composite, not only those of degree k, where the
+        # homology also takes other values than {0: 1}.
+        homology = {}
+        for cell, mask, dims in CellRuns(out).cells():
+            if mask not in homology:
+                homology[mask] = strand(out, mask).homology()
+            assert runs.at(cell) == (mask, dims)
+            assert dims == homology[mask], (job, cell)
 
 
 class TestEquivalenceSuite:

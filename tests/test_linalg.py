@@ -336,9 +336,8 @@ class TestStrand:
             ch = Character(tuple(rng.randint(0, 5) for _ in range(3)), ())
             st_ = strand(cx, cx.presence_tables.mask(ch))
             hom = st_.homology()
-            assert st_.euler_characteristic() == sum(
-                (-1) ** d * h for d, h in hom.items()
-            )
+            euler = sum((-1) ** d * n for d, n in zip(st_.degrees, st_.dims()))
+            assert euler == sum((-1) ** d * h for d, h in hom.items())
 
     def test_homology_dims_span(self):
         cx = _koszul_two_variables()

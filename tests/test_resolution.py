@@ -23,7 +23,7 @@ from orbiflip import (
 from orbiflip import resolution
 from orbiflip.errors import InconsistentDegrees, ResolutionConstructionFailure, Unsupported
 from orbiflip.exact import chain_reduce_homology
-from orbiflip.linalg import Character
+from orbiflip.linalg import CellRuns, Character
 from orbiflip.resolution import weighted_degree
 
 
@@ -464,10 +464,12 @@ class TestPerMaskCertificate:
             cx = build_resolution(WeightSequence(weights, ()), k, "module")
         tables = cx.presence_tables
         cells = set()
-        for cell, mask, dims in resolution._cell_homology(cx):
+        fresh = CellRuns(cx)  # reads cells one at a time
+        for cell, mask, dims in CellRuns(cx).cells():
             corner = Character(cell_corner(cx, cell), ())
             assert (tables.cell(corner), tables.mask(corner)) == (cell, mask)
             assert dims == strand(cx, mask).homology(), (cell, mask)
+            assert fresh.at(cell) == (mask, dims)
             cells.add(cell)
         # Every cell that holds a monomial, each once.
         runs = [range(bisect_right(cuts, 0), len(cuts) + 1) for cuts, _ in tables.coords]
@@ -509,8 +511,10 @@ class TestPerMaskCertificate:
     def test_reduces_once_per_run(self, monkeypatch):
         # (1, 1, 1, 1) at k = 4: five intervals on each coordinate, so 5^3
         # runs of five cells, 625 cells in all; no strand is reduced on its own.
+        from orbiflip import linalg
+
         calls = []
-        real = resolution.filtered_homology
+        real = linalg.filtered_homology
 
         def counting(cells, *args):
             calls.append(frozenset(cells))
@@ -519,12 +523,13 @@ class TestPerMaskCertificate:
         def forbidden(*args):
             raise AssertionError("a strand was reduced on its own")
 
-        monkeypatch.setattr(resolution, "filtered_homology", counting)
-        monkeypatch.setattr(resolution, "strand", forbidden)
-        monkeypatch.setattr(resolution, "chain_reduce_homology", forbidden)
+        monkeypatch.setattr(linalg, "filtered_homology", counting)
+        for module in (resolution, linalg):
+            monkeypatch.setattr(module, "strand", forbidden)
+            monkeypatch.setattr(module, "chain_reduce_homology", forbidden)
         positions, raw_diffs = resolution.module_resolution((1, 1, 1, 1), 4)
         cx = resolution._augmented((1, 1, 1, 1), positions, raw_diffs)
-        cells = list(resolution._cell_homology(cx))
+        cells = list(CellRuns(cx).cells())
         assert len(cells) == 625 and len({cell for cell, _, _ in cells}) == 625
         # One reduction per distinct run, and runs with the same terms share it.
         assert len(calls) == len(set(calls)) == 5**3
@@ -732,4 +737,4 @@ class TestBuildResolution:
         for e in range(0, k + sum(w) + 3):
             st_ = strand_by_degree(cx, e)
             want = len(monomials_of_weighted_degree(w, e)) if e >= k else 0
-            assert st_.euler_characteristic() == want
+            assert sum((-1) ** d * n for d, n in zip(st_.degrees, st_.dims())) == want
